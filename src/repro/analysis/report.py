@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis import grid
 from repro.analysis.experiments import (
     accuracy_experiment,
     dataset_characteristics,
@@ -86,11 +87,7 @@ def generate_report(
     logs: Dict[str, InteractionLog] = {
         name: load_dataset(name, rng=seed, scale=scale) for name in names
     }
-    small_names = [
-        name
-        for name in names
-        if name in ("enron-sim", "lkml-sim", "facebook-sim", "slashdot-sim")
-    ] or names[:1]
+    small_names = [name for name in names if name in grid.SMALL_DATASETS] or names[:1]
     small_logs = {name: logs[name] for name in small_names}
 
     parts: List[str] = [
@@ -112,7 +109,7 @@ def generate_report(
 
     if "table3" in chosen:
         rows = []
-        for name in [n for n in ("higgs-sim", "slashdot-sim") if n in logs] or small_names[:1]:
+        for name in [n for n in grid.ACCURACY_DATASETS if n in logs] or small_names[:1]:
             rows.extend(
                 accuracy_experiment(
                     logs[name],

@@ -25,54 +25,3 @@ This package deliberately depends on nothing outside the standard
 library so that the algorithm modules can import the contract decorators
 without creating import cycles.
 """
-
-from __future__ import annotations
-
-# NOTE: the @hotpath/@coldpath decorators are imported from
-# repro.lint.alloctrace directly (like @invariant from .contracts) —
-# re-exporting them here would shadow the repro.lint.hotpath submodule.
-from repro.lint.alloctrace import ALLOC_ENV, allocs_enabled
-from repro.lint.contracts import (
-    CONTRACTS_ENV,
-    ContractViolation,
-    contracts_enabled,
-    invariant,
-)
-from repro.lint.baseline import Baseline
-from repro.lint.engine import (
-    LintEngine,
-    Violation,
-    lint_paths,
-    lint_project_sources,
-    lint_source,
-)
-from repro.lint.locktrace import LOCKS_ENV, locks_enabled
-from repro.lint.project import ProjectIndex
-from repro.lint.reporting import render_json, render_text
-from repro.lint.rules import Rule, all_rules, expand_rule_selectors, get_rule
-from repro.lint.sarif import render_sarif
-
-__all__ = [
-    "ALLOC_ENV",
-    "Baseline",
-    "CONTRACTS_ENV",
-    "ContractViolation",
-    "LOCKS_ENV",
-    "LintEngine",
-    "ProjectIndex",
-    "Rule",
-    "Violation",
-    "all_rules",
-    "allocs_enabled",
-    "contracts_enabled",
-    "expand_rule_selectors",
-    "get_rule",
-    "invariant",
-    "locks_enabled",
-    "lint_paths",
-    "lint_project_sources",
-    "lint_source",
-    "render_json",
-    "render_sarif",
-    "render_text",
-]

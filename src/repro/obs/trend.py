@@ -13,14 +13,17 @@ gives CI a noise-tolerant comparator:
 * :func:`load_bench_snapshot` — read + validate a snapshot, with clean
   one-line errors for missing files, truncated JSON and schema
   mismatches;
-* :func:`diff_snapshots` / :func:`render_diff` — compare two snapshots
-  under a relative-threshold **and** IQR-overlap rule, render the result
+* :func:`diff_snapshots` — compare two snapshots entry by entry under
+  :func:`trend_verdict`, the relative-threshold **and** IQR-overlap rule;
+* :func:`render_diff` / :func:`has_regressions` — render a diff document
   as a table, JSON or markdown, and report whether any regression
-  survived both rules (the CI exit code).
+  survived both rules (the CI exit code).  The experiment-matrix diff
+  (:mod:`repro.xp.report`) renders and gates through the same two.
 
 Noise rule
 ----------
-A benchmark regresses only when *both* hold:
+:func:`trend_verdict` is the one implementation.  A benchmark regresses
+only when *both* hold:
 
 1. ``new.median > old.median * (1 + threshold)`` (default +10 %), and
 2. the interquartile ranges ``[q1, q3]`` of old and new do **not**
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 # The single definition of run provenance lives in utils.provenance (the
 # experiment-matrix store reuses it verbatim); re-exported here because
@@ -54,7 +57,9 @@ __all__ = [
     "write_bench_snapshot",
     "load_bench_snapshot",
     "validate_snapshot",
+    "trend_verdict",
     "diff_snapshots",
+    "diff_table",
     "render_diff",
     "has_regressions",
 ]
@@ -127,10 +132,9 @@ def bench_snapshot(
 def quartiles(values: Sequence[float]) -> Dict[str, float]:
     """``median``/``q1``/``q3``/``iqr`` of ``values`` (linear interpolation).
 
-    The shared summary every trend comparison is built on — serve-bench
+    The summary :func:`trend_verdict` compares, shared by serve-bench
     aggregation below and the experiment-matrix significance layer
-    (:mod:`repro.xp.stats`) use this one function so their IQR-overlap
-    rules are numerically identical.
+    (:mod:`repro.xp.stats`).
     """
     if not values:
         raise ValueError("cannot take quartiles of an empty sequence")
@@ -146,9 +150,6 @@ def quartiles(values: Sequence[float]) -> Dict[str, float]:
     q1, median, q3 = _at(0.25), _at(0.5), _at(0.75)
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
-
-#: Backwards-compatible alias (the function predates its public export).
-_quartiles = quartiles
 
 
 def serve_bench_snapshot(
@@ -172,14 +173,14 @@ def serve_bench_snapshot(
     for key in percentiles:
         samples = [float(report["latency_ms"][key]) for report in reports]  # type: ignore[index,call-overload]
         entry: Dict[str, object] = {"name": f"loadgen.{key}_ms", "rounds": len(reports)}
-        entry.update(_quartiles(samples))
+        entry.update(quartiles(samples))
         entries.append(entry)
     throughput: Dict[str, object] = {
         "name": "loadgen.throughput_rps",
         "rounds": len(reports),
         "direction": DIRECTION_HIGHER,
     }
-    throughput.update(_quartiles([float(r["throughput_rps"]) for r in reports]))
+    throughput.update(quartiles([float(r["throughput_rps"]) for r in reports]))
     entries.append(throughput)
     entries.sort(key=lambda entry: entry["name"])  # type: ignore[arg-type,return-value]
     totals = {
@@ -289,10 +290,55 @@ VERDICT_OK = "ok"
 VERDICT_ADDED = "added"
 VERDICT_REMOVED = "removed"
 
+#: Snapshot entry directions in the ``lower``/``higher`` terms of
+#: :func:`trend_verdict` (the experiment-matrix spelling).
+_VERDICT_DIRECTION = {DIRECTION_LOWER: "lower", DIRECTION_HIGHER: "higher"}
 
-def _iqr_overlap(old: Mapping[str, object], new: Mapping[str, object]) -> bool:
-    """True when the [q1, q3] ranges of ``old`` and ``new`` intersect."""
-    return float(new["q1"]) <= float(old["q3"]) and float(old["q1"]) <= float(new["q3"])
+
+def trend_verdict(
+    old: Mapping[str, object],
+    new: Mapping[str, object],
+    direction: str = "lower",
+    threshold: float = DEFAULT_THRESHOLD,
+) -> Dict[str, object]:
+    """The noise rule over two ``median``/``q1``/``q3`` summaries.
+
+    ``direction`` is ``"lower"`` (timings, latency, error) or ``"higher"``
+    (throughput, spread) is better.  Returns ``ratio`` (new/old median,
+    ``inf`` when the old median is 0), ``iqr_overlap`` and ``verdict``:
+    ``regression`` when the median moved the wrong way by more than
+    ``threshold`` *and* the ``[q1, q3]`` ranges are disjoint,
+    ``improvement`` for the mirror case, ``ok`` otherwise.  This is the
+    only implementation of the rule; :func:`diff_snapshots` and
+    :func:`repro.xp.stats.compare_samples` both call it.
+    """
+    if direction not in ("lower", "higher"):
+        raise ValueError(f"direction must be 'lower' or 'higher', got {direction!r}")
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    old_median = float(old["median"])  # type: ignore[arg-type]
+    new_median = float(new["median"])  # type: ignore[arg-type]
+    overlap = (
+        float(new["q1"]) <= float(old["q3"])  # type: ignore[arg-type]
+        and float(old["q1"]) <= float(new["q3"])  # type: ignore[arg-type]
+    )
+    grew = new_median > old_median * (1.0 + threshold)
+    shrank = new_median < old_median * (1.0 - threshold)
+    if direction == "higher":
+        grew, shrank = shrank, grew  # less throughput is the slowdown
+    if overlap:
+        verdict = VERDICT_OK
+    elif grew:
+        verdict = VERDICT_REGRESSION
+    elif shrank:
+        verdict = VERDICT_IMPROVEMENT
+    else:
+        verdict = VERDICT_OK
+    return {
+        "ratio": new_median / old_median if old_median else float("inf"),
+        "iqr_overlap": overlap,
+        "verdict": verdict,
+    }
 
 
 def diff_snapshots(
@@ -303,9 +349,9 @@ def diff_snapshots(
     """Compare two snapshots benchmark by benchmark.
 
     Returns a report dict: ``rows`` (one per benchmark, sorted by name,
-    each with old/new medians, the ratio and a verdict), ``counters``
-    (relative drift of shared obs counters, informational only) and
-    ``threshold``.  Schema compatibility must already hold
+    each with old/new medians and the :func:`trend_verdict` fields),
+    ``counters`` (relative drift of shared obs counters, informational
+    only) and ``threshold``.  Schema compatibility must already hold
     (:func:`load_bench_snapshot` enforces it for files; for in-memory
     documents call :func:`validate_snapshot` yourself).
     """
@@ -342,32 +388,15 @@ def diff_snapshots(
                 }
             )
             continue
-        old_median = float(before["median"])
-        new_median = float(after["median"])
-        ratio = new_median / old_median if old_median > 0 else float("inf")
-        overlap = _iqr_overlap(before, after)
         direction = str(after.get("direction", before.get("direction", DIRECTION_LOWER)))
-        grew = new_median > old_median * (1.0 + threshold)
-        shrank = new_median < old_median * (1.0 - threshold)
-        if direction == DIRECTION_HIGHER:
-            grew, shrank = shrank, grew  # less throughput is the slowdown
-        if grew and not overlap:
-            verdict = VERDICT_REGRESSION
-        elif shrank and not overlap:
-            verdict = VERDICT_IMPROVEMENT
-        else:
-            verdict = VERDICT_OK
-        rows.append(
-            {
-                "name": name,
-                "verdict": verdict,
-                "old_median": old_median,
-                "new_median": new_median,
-                "ratio": ratio,
-                "iqr_overlap": overlap,
-                "direction": direction,
-            }
-        )
+        row: Dict[str, object] = {
+            "name": name,
+            "old_median": float(before["median"]),
+            "new_median": float(after["median"]),
+            "direction": direction,
+        }
+        row.update(trend_verdict(before, after, _VERDICT_DIRECTION[direction], threshold))
+        rows.append(row)
     old_counters: Mapping[str, float] = old.get("counters", {})  # type: ignore[assignment]
     new_counters: Mapping[str, float] = new.get("counters", {})  # type: ignore[assignment]
     counter_rows = []
@@ -391,8 +420,14 @@ def diff_snapshots(
 
 
 def has_regressions(diff: Mapping[str, object]) -> bool:
-    """True when any row of a :func:`diff_snapshots` report regressed."""
+    """True when any row of a diff document regressed (the CI exit code)."""
     return any(row["verdict"] == VERDICT_REGRESSION for row in diff["rows"])  # type: ignore[index,union-attr]
+
+
+def _number(value: object) -> str:
+    if not isinstance(value, (int, float)):
+        return "-"
+    return f"{value:.4g}"
 
 
 def _ratio_text(row: Mapping[str, object]) -> str:
@@ -402,45 +437,67 @@ def _ratio_text(row: Mapping[str, object]) -> str:
     return f"{(ratio - 1.0) * 100.0:+.1f}%"
 
 
-def _seconds(value: object) -> str:
-    if not isinstance(value, (int, float)):
-        return "-"
-    return f"{value:.6f}"
+def diff_table(
+    diff: Mapping[str, object],
+) -> Tuple[Tuple[str, ...], List[Tuple[str, ...]], str]:
+    """Headers, cell rows and summary line of a diff document.
+
+    Serves :func:`diff_snapshots` reports and experiment-matrix
+    ``repro-xp-diff/1`` documents (:func:`repro.xp.report.diff_runs`)
+    alike.  The latter are rank-tested: they carry an ``alpha``, a
+    ``p_value`` per row (shown as a ``p`` column) and ``added`` /
+    ``removed`` group label lists counted in the summary.
+    """
+    rows: Sequence[Mapping[str, object]] = diff["rows"]  # type: ignore[assignment]
+    ranked = "alpha" in diff
+    noun = "measurement" if ranked else "benchmark"
+    p_column = ("p",) if ranked else ()
+    headers = (noun, "old_median", "new_median", "delta") + p_column + ("verdict",)
+    cells: List[Tuple[str, ...]] = []
+    for row in rows:
+        cell = [
+            str(row["name"]),
+            _number(row.get("old_median")),
+            _number(row.get("new_median")),
+            _ratio_text(row),
+        ]
+        if ranked:
+            cell.append(f"{float(row['p_value']):.3f}")  # type: ignore[arg-type]
+        cells.append(tuple(cell + [str(row["verdict"])]))
+    verdicts = [row["verdict"] for row in rows]
+    threshold = float(diff.get("threshold", DEFAULT_THRESHOLD))  # type: ignore[arg-type]
+    summary = (
+        f"{len(cells)} {noun}s compared, {verdicts.count(VERDICT_REGRESSION)} regression(s), "
+        f"{verdicts.count(VERDICT_IMPROVEMENT)} improvement(s) at threshold "
+        f"+{threshold * 100.0:g}% with disjoint IQRs"
+    )
+    if ranked:
+        summary += f" and alpha={float(diff['alpha']):g}"  # type: ignore[arg-type]
+    unmatched = [
+        f"{len(diff[key])} group(s) {where}"  # type: ignore[arg-type]
+        for key, where in (("added", "only in the new run"), ("removed", "only in the baseline"))
+        if diff.get(key)
+    ]
+    if unmatched:
+        summary += "; " + ", ".join(unmatched)
+    return headers, cells, summary
 
 
 def render_diff(diff: Mapping[str, object], format: str = "table") -> str:
-    """Render a :func:`diff_snapshots` report (``table``/``json``/``markdown``)."""
+    """Render a diff document (:func:`diff_table`) as ``table``/``json``/``markdown``."""
     if format == "json":
         return json.dumps(diff, indent=2, sort_keys=True) + "\n"
-    rows: Sequence[Mapping[str, object]] = diff["rows"]  # type: ignore[assignment]
-    threshold = diff.get("threshold", DEFAULT_THRESHOLD)
-    cells = [
-        [
-            str(row["name"]),
-            _seconds(row.get("old_median")),
-            _seconds(row.get("new_median")),
-            _ratio_text(row),
-            str(row["verdict"]),
-        ]
-        for row in rows
-    ]
-    headers = ("benchmark", "old_median_s", "new_median_s", "delta", "verdict")
-    regressions = sum(1 for row in rows if row["verdict"] == VERDICT_REGRESSION)
-    summary = (
-        f"{len(cells)} benchmarks compared, {regressions} regression(s) "
-        f"at threshold +{float(threshold) * 100.0:g}% with disjoint IQRs"
-    )
+    if format not in ("table", "markdown"):
+        raise ValueError(f"unknown diff format {format!r}; use table, json or markdown")
+    headers, cells, summary = diff_table(diff)
     if format == "markdown":
         lines = ["| " + " | ".join(headers) + " |"]
         lines.append("|" + "|".join("---" for _ in headers) + "|")
         lines.extend("| " + " | ".join(row) + " |" for row in cells)
-        lines.append("")
-        lines.append(summary)
-        return "\n".join(lines) + "\n"
-    if format == "table":
+    elif cells:
         from repro.obs.export import _render_table
 
-        if not cells:
-            return "(no benchmarks to compare)\n"
-        return "\n".join(_render_table(headers, cells) + ["", summary]) + "\n"
-    raise ValueError(f"unknown diff format {format!r}; use table, json or markdown")
+        lines = _render_table(headers, cells)
+    else:
+        lines = [f"(no {headers[0]}s to compare)"]
+    return "\n".join(lines + ["", summary]) + "\n"

@@ -204,7 +204,8 @@ def _command_report(args: argparse.Namespace, out) -> int:
 
 
 def _command_diff(args: argparse.Namespace, out) -> int:
-    from repro.xp.report import diff_runs, has_regressions, render_diff
+    from repro.obs.trend import has_regressions, render_diff
+    from repro.xp.report import diff_runs
     from repro.xp.store import ResultStore
 
     old = ResultStore(args.old)

@@ -10,10 +10,11 @@ a reviewer can regenerate the exact tables from the store alone:
 * :func:`build_sections` — one section per paper artefact, each group
   summarised as ``median``/IQR/bootstrap-CI with Mann-Whitney
   significance annotations against the best method in its panel;
-* :func:`diff_runs` / :func:`render_diff` — trend deltas versus a prior
-  run directory under the three-part rule of
-  :func:`repro.xp.stats.compare_samples` (median shift + disjoint IQRs
-  + rank-test rejection), exit-coded like ``repro obs diff``;
+* :func:`diff_runs` — trend deltas versus a prior run directory under
+  :func:`repro.xp.stats.compare_samples` (the trend gate's median shift
+  + disjoint IQRs, plus rank-test rejection), rendered and exit-coded by
+  the same :func:`~repro.obs.trend.render_diff` /
+  :func:`~repro.obs.trend.has_regressions` as ``repro obs diff``;
 * :func:`render_markdown` / :func:`render_html` — the same section
   model as GitHub-flavoured markdown or a self-contained HTML page
   (CI uploads the latter as the run artifact).
@@ -22,12 +23,17 @@ a reviewer can regenerate the exact tables from the store alone:
 from __future__ import annotations
 
 import html
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.trend import DEFAULT_THRESHOLD, quartiles
+from repro.obs.trend import (
+    DEFAULT_THRESHOLD,
+    diff_table,
+    has_regressions,
+    quartiles,
+    render_diff,
+)
 from repro.xp.spec import EXPERIMENTS
 from repro.xp.stats import (
     DEFAULT_ALPHA,
@@ -332,71 +338,6 @@ def diff_runs(
     }
 
 
-def has_regressions(diff: Mapping[str, object]) -> bool:
-    """True when any compared metric regressed under the three-part rule."""
-    return any(row["verdict"] == "regression" for row in diff["rows"])  # type: ignore[index,union-attr]
-
-
-def _diff_cells(diff: Mapping[str, object]) -> Tuple[Tuple[str, ...], List[Tuple[str, ...]], str]:
-    rows: Sequence[Mapping[str, object]] = diff["rows"]  # type: ignore[assignment]
-    headers = ("measurement", "old_median", "new_median", "delta", "p", "verdict")
-    cells = []
-    for row in rows:
-        ratio = row.get("ratio")
-        delta = (
-            f"{(float(ratio) - 1.0) * 100.0:+.1f}%"
-            if isinstance(ratio, float) and ratio != float("inf")
-            else "-"
-        )
-        cells.append(
-            (
-                str(row["name"]),
-                _fmt(row.get("old_median")),
-                _fmt(row.get("new_median")),
-                delta,
-                f"{float(row['p_value']):.3f}",
-                str(row["verdict"]),
-            )
-        )
-    regressions = sum(1 for row in rows if row["verdict"] == "regression")
-    improvements = sum(1 for row in rows if row["verdict"] == "improvement")
-    summary = (
-        f"{len(cells)} measurements compared, {regressions} regression(s), "
-        f"{improvements} improvement(s) at threshold "
-        f"+{float(diff.get('threshold', DEFAULT_THRESHOLD)) * 100.0:g}% with disjoint "
-        f"IQRs and alpha={float(diff.get('alpha', DEFAULT_ALPHA)):g}"
-    )
-    extra = []
-    if diff.get("added"):
-        extra.append(f"{len(diff['added'])} group(s) only in the new run")  # type: ignore[arg-type]
-    if diff.get("removed"):
-        extra.append(f"{len(diff['removed'])} group(s) only in the baseline")  # type: ignore[arg-type]
-    if extra:
-        summary += "; " + ", ".join(extra)
-    return headers, cells, summary
-
-
-def render_diff(diff: Mapping[str, object], format: str = "table") -> str:
-    """Render a :func:`diff_runs` report (``table``/``json``/``markdown``)."""
-    if format == "json":
-        return json.dumps(diff, indent=2, sort_keys=True) + "\n"
-    headers, cells, summary = _diff_cells(diff)
-    if format == "markdown":
-        lines = ["| " + " | ".join(headers) + " |"]
-        lines.append("|" + "|".join("---" for _ in headers) + "|")
-        lines.extend("| " + " | ".join(row) + " |" for row in cells)
-        lines.append("")
-        lines.append(summary)
-        return "\n".join(lines) + "\n"
-    if format == "table":
-        from repro.obs.export import _render_table
-
-        if not cells:
-            return "(no measurements to compare)\n" + summary + "\n"
-        return "\n".join(_render_table(headers, [list(c) for c in cells]) + ["", summary]) + "\n"
-    raise ValueError(f"unknown diff format {format!r}; use table, json or markdown")
-
-
 # ---------------------------------------------------------------------------
 # Whole-report rendering
 # ---------------------------------------------------------------------------
@@ -527,7 +468,7 @@ def render_html(
     if baseline is not None:
         parts.append(f"<h2>Trend deltas vs {html.escape(baseline.root)}</h2>")
         diff = diff_runs(baseline, store, threshold=threshold, alpha=alpha)
-        headers, cells, summary = _diff_cells(diff)
+        headers, cells, summary = diff_table(diff)
         if cells:
             parts += _html_table(headers, cells)
         parts.append(f"<p class=\"note\">{html.escape(summary)}</p>")

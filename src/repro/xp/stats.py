@@ -7,15 +7,14 @@ need, plus the comparison rule shared with the performance-trend gate:
   with tie correction and continuity-corrected normal approximation.
   The replicate counts here (3–10 seeds per cell) are far below any
   asymptotic regime, so the p-value is advisory — which is exactly why
-  the verdict below *also* requires the median shift and disjoint-IQR
-  conditions of :func:`repro.obs.trend.diff_snapshots`.
+  the verdict below *also* requires the trend gate's median-shift and
+  disjoint-IQR rule.
 * :func:`bootstrap_ci` — seeded percentile-bootstrap confidence interval
   of the median (or mean), for annotating point estimates.
-* :func:`compare_samples` — the three-part verdict rule: a difference
-  counts only when (1) the median moved more than ``threshold``,
-  (2) the ``[q1, q3]`` ranges do not overlap (the trend-gate noise
-  rule, numerically identical via the shared :func:`quartiles`), and
-  (3) Mann-Whitney rejects at ``alpha``.
+* :func:`compare_samples` — :func:`repro.obs.trend.trend_verdict` (the
+  median moved more than ``threshold`` and the ``[q1, q3]`` ranges do
+  not overlap) over the samples' :func:`quartiles`, gated additionally
+  on Mann-Whitney rejecting at ``alpha``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.obs.trend import DEFAULT_THRESHOLD, quartiles
+from repro.obs.trend import DEFAULT_THRESHOLD, quartiles, trend_verdict
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -132,7 +131,7 @@ def bootstrap_ci(
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if statistic == "median":
-        stat: Callable[[Sequence[float]], float] = _median
+        stat: Callable[[Sequence[float]], float] = lambda sample: quartiles(sample)["median"]
     elif statistic == "mean":
         stat = lambda sample: sum(sample) / len(sample)  # noqa: E731
     else:
@@ -151,14 +150,6 @@ def bootstrap_ci(
     lo = estimates[min(int(lower * resamples), resamples - 1)]
     hi = estimates[min(int((1.0 - lower) * resamples), resamples - 1)]
     return (lo, hi)
-
-
-def _median(sample: Sequence[float]) -> float:
-    ordered = sorted(sample)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
 
 
 #: Cache of "can an (n_x, n_y, alpha) rank test ever reject?" answers.
@@ -207,48 +198,30 @@ def compare_samples(
 
     ``direction`` is ``"lower"`` (smaller is better: timings, error,
     memory) or ``"higher"`` (spread, overlap).  The returned dict has the
-    two medians, the ratio, the Mann-Whitney ``p_value`` and a
-    ``verdict``: ``regression`` / ``improvement`` only when *all three*
-    conditions hold (median shift beyond ``threshold``, disjoint IQRs,
-    ``p < alpha``); otherwise ``ok``.  When the replicate counts are too
-    small for the rank test ever to reject at ``alpha`` (a 3-vs-3 split
-    bottoms out near ``p = 0.08``; single replicates are fully
-    degenerate), the test becomes advisory and the plain trend rule
-    (median shift + disjoint IQRs) decides alone — the recorded
-    ``p_value`` still shows what the test said (``1.0`` for single
-    replicates), visible in the report as unannotated.
+    two medians plus the :func:`~repro.obs.trend.trend_verdict` fields
+    over the samples' quartiles and the Mann-Whitney ``p_value``.  A
+    ``regression`` / ``improvement`` verdict stands only when the test
+    also rejects at ``alpha``; otherwise it becomes ``ok``.  When the
+    replicate counts are too small for the rank test ever to reject at
+    ``alpha`` (a 3-vs-3 split bottoms out near ``p = 0.08``; single
+    replicates are fully degenerate), the test becomes advisory and the
+    plain trend rule decides alone — the recorded ``p_value`` still shows
+    what the test said (``1.0`` for single replicates), visible in the
+    report as unannotated.
     """
-    if direction not in ("lower", "higher"):
-        raise ValueError(f"direction must be 'lower' or 'higher', got {direction!r}")
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
     old = quartiles(baseline)
     new = quartiles(candidate)
-    overlap = new["q1"] <= old["q3"] and old["q1"] <= new["q3"]
-    old_median, new_median = old["median"], new["median"]
-    ratio = new_median / old_median if old_median else math.inf
+    result = trend_verdict(old, new, direction=direction, threshold=threshold)
     test = mann_whitney_u(baseline, candidate)
     multi = test.n_x > 1 and test.n_y > 1
-    grew = new_median > old_median * (1.0 + threshold)
-    shrank = new_median < old_median * (1.0 - threshold)
-    if direction == "higher":
-        grew, shrank = shrank, grew  # a drop in spread is the regression
-    powered = multi and _test_is_powered(test.n_x, test.n_y, alpha)
-    tested_ok = test.p_value < alpha if powered else True
-    if grew and not overlap and tested_ok:
-        verdict = "regression"
-    elif shrank and not overlap and tested_ok:
-        verdict = "improvement"
-    else:
-        verdict = "ok"
-    return {
-        "old_median": old_median,
-        "new_median": new_median,
-        "ratio": ratio,
-        "iqr_overlap": overlap,
-        "p_value": test.p_value if multi else 1.0,
-        "n_old": test.n_x,
-        "n_new": test.n_y,
-        "direction": direction,
-        "verdict": verdict,
-    }
+    if multi and _test_is_powered(test.n_x, test.n_y, alpha) and test.p_value >= alpha:
+        result["verdict"] = "ok"
+    result.update(
+        old_median=old["median"],
+        new_median=new["median"],
+        p_value=test.p_value if multi else 1.0,
+        n_old=test.n_x,
+        n_new=test.n_y,
+        direction=direction,
+    )
+    return result
