@@ -351,7 +351,7 @@ class StreamingSketchIndex:
         if since is None:
             return self._dual.irs_estimate(node)
         require_int(since, "since")
-        return self._dual.sketch(node).cardinality_within(None, -since)
+        return self._dual.sketch(node).cardinality_within(-since)
 
     def evict_started_before(self, cutoff: int) -> int:
         """Decay sweep: drop pairs whose channel start precedes ``cutoff``.

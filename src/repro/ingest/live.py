@@ -20,11 +20,12 @@ representations, selected by ``mode``:
     (``σω(u) = {v | u ∈ σω_in(v)}``) yields a full
     :class:`~repro.core.oracle.ExactInfluenceOracle` for publishing.
 ``sketch``
-    A per-influencer :class:`~repro.sketch.sliding_hll.SlidingWindowHLL`
-    over reached nodes, fed *channel start times* so one sketch answers
-    every decay horizon at once.  On logs whose live window contains no
-    cycle this reproduces :class:`~repro.core.approx.ApproxIRS` registers
-    exactly (same ``split_hash``; the reached-node sets coincide).
+    A per-influencer :class:`~repro.sketch.vhll.VersionedHLL` over reached
+    nodes, stamped with *negated channel starts* (the dual's negation), so
+    registers read at ``max_time=-horizon`` answer every decay horizon at
+    once — the paper's ref [15] sliding-window HLL with time flipped.  On
+    cycle-free logs this reproduces :class:`~repro.core.approx.ApproxIRS`
+    registers exactly (same ``split_hash``; the reached-node sets coincide).
 
 Stale influence ages out through a **decay horizon** ``decay_window``:
 an interaction only counts while the *start* of its channel lies within
@@ -45,7 +46,8 @@ reads index state — so queries keep flowing while a snapshot is cut.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import repro.obs as obs
 from repro.core.oracle import (
@@ -56,8 +58,9 @@ from repro.core.oracle import (
 from repro.core.streaming import StreamingExactIndex
 from repro.obs import OBS_STATE as _OBS
 from repro.serve.service import ReadWriteLock
+from repro.sketch.hashing import split_hash
 from repro.sketch.hll import estimate_from_registers
-from repro.sketch.sliding_hll import SlidingWindowHLL
+from repro.sketch.vhll import VersionedHLL
 from repro.utils.validation import (
     require_in_range,
     require_int,
@@ -89,6 +92,11 @@ _ENTRIES = obs.gauge(
     "ingest.entries",
     "Stored channel entries of a LiveIndex (refreshed by each decay sweep).",
 )
+
+
+def _max_stamp(horizon: Optional[int]) -> Optional[int]:
+    # Sketch stamps are negated channel starts.
+    return None if horizon is None else -horizon
 
 
 class IngestResult:
@@ -129,7 +137,8 @@ class LiveIndex:
         Maximum channel duration ω, in time ticks.
     mode:
         ``"exact"`` (per-influencer counts + invertible oracle) or
-        ``"sketch"`` (per-influencer sliding HLLs, bounded query memory).
+        ``"sketch"`` (per-influencer vHLLs over negated channel starts,
+        bounded query memory).
     decay_window:
         Sliding horizon in ticks; interactions only count while their
         channel *started* within the last ``decay_window`` ticks of the
@@ -161,6 +170,7 @@ class LiveIndex:
             require_positive(decay_window, "decay_window")
         require_int(precision, "precision")
         require_in_range(precision, "precision", 2, 20)
+        require_type(salt, "salt", int)
         require_int(sweep_every, "sweep_every")
         require_positive(sweep_every, "sweep_every")
         self._window = window
@@ -178,7 +188,7 @@ class LiveIndex:
         self._nodes: Set[Node] = set()  # repro-lint: guarded-by=_lock
         # Forward representation (one of the two is active, by mode).
         self._counts: Dict[Node, int] = {}  # repro-lint: guarded-by=_lock
-        self._sketches: Dict[Node, SlidingWindowHLL] = {}  # repro-lint: guarded-by=_lock
+        self._sketches: Dict[Node, VersionedHLL] = {}  # repro-lint: guarded-by=_lock
         self._events_applied = 0  # repro-lint: guarded-by=_lock
         self._events_rejected = 0  # repro-lint: guarded-by=_lock
         self._since_sweep = 0  # repro-lint: guarded-by=_lock
@@ -314,16 +324,15 @@ class LiveIndex:
                 if influencer not in before:
                     counts[influencer] = counts.get(influencer, 0) + 1
         else:
+            sketches = self._sketches
+            cell, r = split_hash(target, self._precision, self._salt)
             for influencer, start in self._dual.iter_influencer_starts(target):
                 if before.get(influencer) != start:
-                    self._sketch_for(influencer).add_at(target, start)
-
-    def _sketch_for(self, influencer: Node) -> SlidingWindowHLL:
-        sketch = self._sketches.get(influencer)
-        if sketch is None:
-            sketch = SlidingWindowHLL(self._precision, self._salt)
-            self._sketches[influencer] = sketch
-        return sketch
+                    sketch = sketches.get(influencer)
+                    if sketch is None:
+                        sketch = VersionedHLL(self._precision, self._salt)
+                        sketches[influencer] = sketch
+                    sketch.add_pair(cell, r, -start)
 
     def sweep(self) -> int:
         """Run a decay sweep now; returns evicted entry count (0 = no decay)."""
@@ -346,10 +355,10 @@ class LiveIndex:
                 else:
                     counts.pop(influencer, None)
         else:
-            # Future queries only ask windows starting at or after the
-            # (monotone) horizon, so older sketch pairs are dead weight.
+            # Future queries only read stamps at or below the (monotone
+            # down) negated horizon, so pairs above it are dead weight.
             for sketch in self._sketches.values():  # repro-lint: budget=O(n·log W) decay sweep, amortised by sweep_every
-                sketch.prune(horizon)
+                sketch.prune_newer_than(-horizon)
         self._sweeps += 1
         self._evicted_total += evicted
         if _OBS.enabled:
@@ -381,9 +390,7 @@ class LiveIndex:
         sketch = self._sketches.get(node)
         if sketch is None:
             return 0.0
-        if horizon is None:
-            return sketch.cardinality()
-        return sketch.cardinality_since(horizon)
+        return sketch.cardinality_within(_max_stamp(horizon))
 
     def topk(self, k: int) -> List[Tuple[Node, float]]:
         """The ``k`` nodes with the largest live influence.
@@ -400,7 +407,8 @@ class LiveIndex:
                     (node, float(count)) for node, count in self._counts.items()
                 )
             elif self._mode == "exact":
-                candidates = self._horizon_counts_locked(horizon)
+                counts = Counter(influencer for influencer, _ in self._channels_locked(horizon))
+                candidates = ((node, float(count)) for node, count in counts.items())
             else:
                 candidates = (
                     (node, self._influence_locked(node, horizon))
@@ -414,13 +422,12 @@ class LiveIndex:
             )
         return [(node, value) for value, _, node in ranked]
 
-    def _horizon_counts_locked(self, horizon: int) -> Iterable[Tuple[Node, float]]:
-        counts: Dict[Node, int] = {}
-        for reached in self._nodes:  # repro-lint: budget=O(n·|σ_in|) horizon-exact topk scan
+    def _channels_locked(self, horizon: Optional[int]) -> Iterator[Tuple[Node, Node]]:
+        """``(influencer, reached)`` per channel starting at or after ``horizon``."""
+        for reached in self._nodes:  # repro-lint: budget=O(n·|σ_in|) dual inversion
             for influencer, start in self._dual.iter_influencer_starts(reached):
-                if start >= horizon:
-                    counts[influencer] = counts.get(influencer, 0) + 1
-        return ((node, float(count)) for node, count in counts.items())
+                if horizon is None or start >= horizon:
+                    yield influencer, reached
 
     def influencers(self, node: Node) -> Set[Node]:
         """``σω_in(node)`` within the decay horizon (who reached ``node``)."""
@@ -440,21 +447,17 @@ class LiveIndex:
             horizon = self._horizon_locked()
             if self._mode == "exact":
                 sets: Dict[Node, Set[Node]] = {node: set() for node in self._nodes}
-                for reached in self._nodes:  # repro-lint: budget=O(n·|σ_in|) oracle inversion
-                    for influencer, start in self._dual.iter_influencer_starts(reached):
-                        if horizon is None or start >= horizon:
-                            sets.setdefault(influencer, set()).add(reached)
+                for influencer, reached in self._channels_locked(horizon):
+                    sets[influencer].add(reached)
                 return ExactInfluenceOracle(sets)
-            zeros = [0] * self._num_cells
+            max_time = _max_stamp(horizon)
             registers: Dict[Node, List[int]] = {}
             for node in self._nodes:
                 sketch = self._sketches.get(node)
                 if sketch is None:
-                    registers[node] = list(zeros)
-                elif horizon is None:
-                    registers[node] = sketch.registers()
+                    registers[node] = [0] * self._num_cells
                 else:
-                    registers[node] = sketch.registers_since(horizon)
+                    registers[node] = sketch.effective_registers(max_time)
             return ApproxInfluenceOracle(registers, self._num_cells)
 
     def spread(self, seeds: Iterable[Node]) -> float:
@@ -462,29 +465,19 @@ class LiveIndex:
         with self._lock.read():
             horizon = self._horizon_locked()
             if self._mode == "exact":
-                covered: Set[Node] = set()
                 seed_set = set(seeds)
-                for reached in self._nodes:  # repro-lint: budget=O(n·|σ_in|) live spread scan
-                    for influencer, start in self._dual.iter_influencer_starts(reached):
-                        if influencer in seed_set and (
-                            horizon is None or start >= horizon
-                        ):
-                            covered.add(reached)
-                            break
+                covered = {
+                    reached
+                    for influencer, reached in self._channels_locked(horizon)
+                    if influencer in seed_set
+                }
                 return float(len(covered))
+            max_time = _max_stamp(horizon)
             combined = [0] * self._num_cells
             for seed in seeds:  # repro-lint: budget=O(|seeds|·β)
                 sketch = self._sketches.get(seed)
-                if sketch is None:
-                    continue
-                cells = (
-                    sketch.registers()
-                    if horizon is None
-                    else sketch.registers_since(horizon)
-                )
-                for index, value in enumerate(cells):
-                    if value > combined[index]:
-                        combined[index] = value
+                if sketch is not None:
+                    sketch.max_registers_into(combined, max_time)
             return estimate_from_registers(combined, self._num_cells)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

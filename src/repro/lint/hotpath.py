@@ -1,6 +1,6 @@
 """Hot-path performance lint: the hot-region model and rules R301–R305.
 
-ROADMAP item 3 names the sketch hot path — dict-of-lists of ``(t, ρ)``
+ROADMAP item 2 names the sketch hot path — dict-of-lists of ``(t, ρ)``
 pairs in ``VersionedHLL``/``IRSSummary`` — as the dominant cost of an
 approx build (~414k pair inserts per run), and the planned packed-array
 rewrite needs a machine-checked map of where allocation and
@@ -113,7 +113,7 @@ _SCOPE_STMTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: already uses, and the roadmap item that will adopt it in memory.
 _PACKED_LAYOUT_HINT = (
     "parallel arrays — the packed (t, rho) register layout serve/snapshot.py "
-    "serialises as repro-snap/1 — avoid per-pair tuple objects (ROADMAP item 3)"
+    "serialises as repro-snap/1 — avoid per-pair tuple objects (ROADMAP item 2)"
 )
 
 

@@ -3,7 +3,6 @@
 from repro.sketch.bottomk import BottomK, VersionedBottomK
 from repro.sketch.hashing import hash64, rho, split_hash
 from repro.sketch.hll import HyperLogLog, alpha, estimate_from_registers
-from repro.sketch.sliding_hll import SlidingWindowHLL
 from repro.sketch.vhll import VersionedHLL
 
 __all__ = [
@@ -14,7 +13,6 @@ __all__ = [
     "alpha",
     "estimate_from_registers",
     "VersionedHLL",
-    "SlidingWindowHLL",
     "BottomK",
     "VersionedBottomK",
 ]

@@ -128,7 +128,7 @@ class VersionedHLL:
     # ------------------------------------------------------------------
     def add(self, item: Hashable, timestamp: int) -> None:
         """Record that ``item`` was reached by a channel ending at ``timestamp``."""
-        self._check_time(timestamp)
+        require_int(timestamp, "timestamp")
         cell, r = split_hash(item, self._precision, self._salt)
         self.add_pair(cell, r, timestamp)
 
@@ -142,7 +142,7 @@ class VersionedHLL:
         removed and the new pair is spliced in, preserving the sorted
         Pareto-frontier invariant.
         """
-        self._check_time(timestamp)
+        require_int(timestamp, "timestamp")
         self._insert_pair(cell, r, timestamp)
 
     # repro-lint: hotpath
@@ -153,8 +153,8 @@ class VersionedHLL:
         pairs = self._cells[cell]
         if pairs is None:
             # The (t, ρ) list-of-tuples cell layout is the paper's data
-            # structure; the packed-array rewrite is ROADMAP item 3.
-            self._cells[cell] = [(timestamp, r)]  # repro-lint: disable=R304 (packed layout is ROADMAP item 3)
+            # structure; the packed-array rewrite is ROADMAP item 2.
+            self._cells[cell] = [(timestamp, r)]  # repro-lint: disable=R304 (packed layout is ROADMAP item 2)
             if _OBS.enabled:
                 _PAIRS_INSERTED.inc()
             return
@@ -182,7 +182,7 @@ class VersionedHLL:
         n = len(pairs)
         while j < n and pairs[j][1] <= r:
             j += 1
-        pairs[i:j] = [(timestamp, r)]  # repro-lint: disable=R304 (packed layout is ROADMAP item 3)
+        pairs[i:j] = [(timestamp, r)]  # repro-lint: disable=R304 (packed layout is ROADMAP item 2)
         if _OBS.enabled:
             _PAIRS_INSERTED.inc()
             if j > i:
@@ -201,7 +201,7 @@ class VersionedHLL:
         for cell_index, pairs in enumerate(other._cells):  # repro-lint: budget=O(m·F)
             if not pairs:
                 continue
-            for t, r in pairs:  # repro-lint: disable=R304 (packed layout is ROADMAP item 3)
+            for t, r in pairs:  # repro-lint: disable=R304 (packed layout is ROADMAP item 2)
                 insert_pair(cell_index, r, t)
 
     @invariant(post_vhll_mutation)
@@ -215,7 +215,7 @@ class VersionedHLL:
         duration budget when ``t − start_time + 1 ≤ ω``.
         """
         self._check_compatible(other)
-        self._check_time(start_time)
+        require_int(start_time, "start_time")
         require_int(window, "window")
         require_non_negative(window, "window")
         deadline = start_time + window  # exclusive: keep t < deadline
@@ -223,7 +223,7 @@ class VersionedHLL:
         for cell_index, pairs in enumerate(other._cells):  # repro-lint: budget=O(m·F)
             if not pairs:
                 continue
-            for t, r in pairs:  # repro-lint: disable=R304 (packed layout is ROADMAP item 3)
+            for t, r in pairs:  # repro-lint: disable=R304 (packed layout is ROADMAP item 2)
                 if t >= deadline:
                     break  # pairs are time-sorted; the rest are too late
                 insert_pair(cell_index, r, t)
@@ -260,49 +260,25 @@ class VersionedHLL:
     # Queries
     # ------------------------------------------------------------------
     @hotpath
-    def effective_registers(
-        self,
-        min_time: Optional[int] = None,
-        max_time: Optional[int] = None,
-    ) -> list[int]:
-        """Per-cell maximum ρ over pairs with ``min_time ≤ t ≤ max_time``.
-
-        ``None`` bounds are unconstrained.  Because ρ increases with ``t``
-        within a cell, the qualifying pair with the largest ``t`` carries the
-        maximum ρ, so each cell is answered with one bisection.
-        """
-        registers: list[int] = []
-        append = registers.append
-        for pairs in self._cells:
-            if not pairs:
-                append(0)
-                continue
-            hi = len(pairs)
-            if max_time is not None:
-                hi = bisect_right(pairs, max_time, key=_TIME_KEY)
-            if hi == 0:
-                append(0)
-                continue
-            t, r = pairs[hi - 1]
-            if min_time is not None and t < min_time:
-                append(0)
-            else:
-                append(r)
+    def effective_registers(self, max_time: Optional[int] = None) -> list[int]:
+        """Per-cell maximum ρ over pairs with ``t ≤ max_time`` (None = all)."""
+        registers = [0] * self._m
+        self.max_registers_into(registers, max_time)
         return registers
 
     @hotpath
     def max_registers_into(
-        self,
-        registers: list[int],
-        min_time: Optional[int] = None,
-        max_time: Optional[int] = None,
+        self, registers: list[int], max_time: Optional[int] = None
     ) -> None:
         """Cell-wise ``registers[i] = max(registers[i], effective ρ of cell i)``.
 
-        The allocation-free form of :meth:`effective_registers` for union
-        queries: the oracle folds many sketches into one accumulator array
-        without materialising an intermediate register list per sketch.
-        ``registers`` must have length ``num_cells``.
+        The effective ρ of a cell is its maximum over pairs with
+        ``t ≤ max_time`` (``None`` = unconstrained).  Because ρ increases
+        with ``t`` within a cell, the qualifying pair with the largest
+        ``t`` carries it, so each cell is answered with one bisection.
+        Folding into a caller-owned accumulator lets a union query combine
+        many sketches without a register list per sketch.  ``registers``
+        must have length ``num_cells``.
         """
         if len(registers) != self._m:
             raise ValueError(
@@ -311,26 +287,19 @@ class VersionedHLL:
         for cell, pairs in enumerate(self._cells):
             if not pairs:
                 continue
-            hi = len(pairs)
-            if max_time is not None:
-                hi = bisect_right(pairs, max_time, key=_TIME_KEY)
-            if hi == 0:
-                continue
-            t, r = pairs[hi - 1]
-            if min_time is not None and t < min_time:
-                continue
-            if r > registers[cell]:
-                registers[cell] = r
+            hi = len(pairs) if max_time is None else bisect_right(pairs, max_time, key=_TIME_KEY)
+            if hi:
+                r = pairs[hi - 1][1]
+                if r > registers[cell]:
+                    registers[cell] = r
 
     def cardinality(self) -> float:
         """Estimate of the number of distinct items ever added."""
-        return estimate_from_registers(self.effective_registers(), self._m)
+        return self.cardinality_within()
 
-    def cardinality_within(self, min_time: Optional[int] = None, max_time: Optional[int] = None) -> float:
-        """Cardinality estimate restricted to pairs inside the time bounds."""
-        return estimate_from_registers(
-            self.effective_registers(min_time, max_time), self._m
-        )
+    def cardinality_within(self, max_time: Optional[int] = None) -> float:
+        """Cardinality estimate restricted to pairs with ``t ≤ max_time``."""
+        return estimate_from_registers(self.effective_registers(max_time), self._m)
 
     def __len__(self) -> int:
         """The all-time cardinality estimate, rounded."""
@@ -382,10 +351,6 @@ class VersionedHLL:
                 "cannot combine sketches with different precision/salt: "
                 f"({self._precision}, {self._salt}) vs ({other._precision}, {other._salt})"
             )
-
-    @staticmethod
-    def _check_time(timestamp: int) -> None:
-        require_int(timestamp, "timestamp")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.ingest.conftest import forward_events
 
@@ -10,6 +11,7 @@ from repro.core.approx import ApproxIRS
 from repro.core.exact import ExactIRS
 from repro.core.oracle import ApproxInfluenceOracle, ExactInfluenceOracle
 from repro.ingest.live import IngestResult, LiveIndex
+from repro.sketch.hll import HyperLogLog
 
 WINDOW = 40
 
@@ -60,7 +62,7 @@ class TestExactEquivalence:
 
 
 class TestSketchEquivalence:
-    """Live sliding sketches equal batch ApproxIRS on cycle-free logs."""
+    """Live vHLL sketches equal batch ApproxIRS on cycle-free logs."""
 
     PRECISION = 7
 
@@ -88,6 +90,58 @@ class TestSketchEquivalence:
         live, batch = pair
         seeds = sorted(acyclic_log.nodes, key=repr)[:5]
         assert live.spread(seeds) == batch.spread(seeds)
+
+
+@st.composite
+def tied_logs(draw):
+    """Forward event lists over few nodes: tied stamps, cycles, self-loops."""
+    nodes = st.sampled_from("abcdef")
+    steps = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=1, max_size=40))
+    events, time = [], 0
+    for step in steps:
+        time += step
+        events.append((draw(nodes), draw(nodes), time))
+    return events
+
+
+class TestSketchMatchesExact:
+    """Sketch registers == a plain HLL of the exact-mode reachability set.
+
+    Holds on every log, cycles included, and at every decay horizon: the
+    per-influencer vHLL over negated channel starts must answer a horizon
+    with exactly the in-horizon channels the dual keeps.
+    """
+
+    PRECISION = 4
+    SALT = 3
+
+    @given(
+        events=tied_logs(),
+        window=st.integers(min_value=0, max_value=12),
+        decay_window=st.sampled_from([None, 3, 10, 40]),
+        sweep_every=st.sampled_from([1, 4, 1024]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_registers_equal_hll_of_exact_sets(
+        self, events, window, decay_window, sweep_every
+    ):
+        def replay(mode):
+            live = LiveIndex(
+                window,
+                mode=mode,
+                decay_window=decay_window,
+                precision=self.PRECISION,
+                salt=self.SALT,
+                sweep_every=sweep_every,
+            )
+            live.apply_events(events)
+            return live.build_oracle()
+
+        sketch_oracle, exact_oracle = replay("sketch"), replay("exact")
+        for node in {node for event in events for node in event[:2]}:
+            expected = HyperLogLog(self.PRECISION, self.SALT)
+            expected.update(exact_oracle.reachability_set(node))
+            assert sketch_oracle.registers(node) == expected.registers(), node
 
 
 class TestDecay:
@@ -171,6 +225,10 @@ class TestValidationAndBookkeeping:
             LiveIndex(window=5, decay_window=0)
         with pytest.raises(ValueError):
             LiveIndex(window=-1)
+
+    def test_rejects_non_int_salt_before_any_event(self):
+        with pytest.raises(TypeError, match="salt"):
+            LiveIndex(window=10, mode="sketch", salt="x")
 
     def test_stale_events_are_rejected_not_raised(self):
         live = LiveIndex(window=5)

@@ -220,8 +220,8 @@ def test_max_registers_into_respects_time_bounds():
     sketch.max_registers_into(full)
     assert full == sketch.effective_registers()
     bounded = [0] * sketch.num_cells
-    sketch.max_registers_into(bounded, min_time=8, max_time=16)
-    assert bounded == sketch.effective_registers(min_time=8, max_time=16)
+    sketch.max_registers_into(bounded, max_time=16)
+    assert bounded == sketch.effective_registers(max_time=16)
 
 
 # ----------------------------------------------------------------------

@@ -32,13 +32,13 @@ class TestVhllWindowFilters:
         sketch = VersionedHLL(precision=2)
         sketch.add_pair(0, 2, 5)
         sketch.add_pair(0, 6, 15)
-        # Only the t=5 pair lies in [0, 10].
-        assert sketch.effective_registers(min_time=0, max_time=10)[0] == 2
-        # Only the t=15 pair lies in [11, 20]... but the staircase answers
-        # via the latest in-range pair.
-        assert sketch.effective_registers(min_time=11, max_time=20)[0] == 6
+        # Only the t=5 pair lies at or below 10.
+        assert sketch.effective_registers(max_time=10)[0] == 2
+        # Both pairs lie at or below 20; the staircase answers via the
+        # latest in-range pair.
+        assert sketch.effective_registers(max_time=20)[0] == 6
         # Empty range.
-        assert sketch.effective_registers(min_time=6, max_time=10)[0] == 0
+        assert sketch.effective_registers(max_time=4)[0] == 0
 
     def test_cardinality_within_monotone_in_deadline(self):
         sketch = VersionedHLL(precision=6)
