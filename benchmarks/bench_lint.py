@@ -2,9 +2,9 @@
 
 Not a paper table — this tracks the cost of the static-analysis gate
 itself so the whole-program rules (project index + call graph) stay
-cheap enough to run on every commit.  Three timings: serial, parallel
-parse (``--jobs 2``), and the per-file rules alone (the difference to
-the full run is the price of the cross-module analysis).
+cheap enough to run on every commit.  Timings: the full run, the
+per-file rules alone (the difference to the full run is the price of the
+cross-module analysis), and the hot-path family with and without.
 """
 
 from pathlib import Path
@@ -24,8 +24,8 @@ NON_HOTPATH_RULE_IDS = [
 ]
 
 
-def test_lint_whole_tree_serial(benchmark):
-    engine = LintEngine(jobs=1)
+def test_lint_whole_tree(benchmark):
+    engine = LintEngine()
     violations, files_checked = benchmark(engine.lint_paths, [SRC_ROOT])
     assert violations == []
     register_table(
@@ -39,14 +39,8 @@ def test_lint_whole_tree_serial(benchmark):
                 "violations": len(violations),
             }
         ],
-        note="timings in the pytest-benchmark table above (serial/parallel/file-only)",
+        note="timings in the pytest-benchmark table above (full/file-only/hot-path)",
     )
-
-
-def test_lint_whole_tree_parallel(benchmark):
-    engine = LintEngine(jobs=2)
-    violations, _ = benchmark(engine.lint_paths, [SRC_ROOT])
-    assert violations == []
 
 
 def test_lint_file_rules_only(benchmark):
@@ -56,10 +50,10 @@ def test_lint_file_rules_only(benchmark):
 
 
 def test_lint_hotpath_rules_only(benchmark):
-    """Cost of the R301–R305 hot-region analysis alone.
+    """Cost of the R301–R303 hot-region analysis alone.
 
     The hot-region closure (benchmark-root seeding + call-graph BFS +
-    the five checkers) runs once per index and is cached, so this case
+    the three checkers) runs once per index and is cached, so this case
     prices the whole hot-path family; comparing against the run below
     (everything *except* R3xx) isolates its share of the full gate.
     """

@@ -136,18 +136,18 @@ class MultiWindowIRS:
     ) -> None:
         entries = frontier.get(target)
         if entries is None:
-            frontier[target] = [(start, end)]  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 2)
+            frontier[target] = [(start, end)]
             return
         last_start, last_end = entries[-1]
         if start == last_start:
             # Same batch stamp: keep the smaller end.
             if end < last_end:
-                entries[-1] = (start, end)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 2)
+                entries[-1] = (start, end)
             return
         # Reverse scan guarantees start < last_start; the new entry joins
         # the frontier iff it strictly improves the minimal end.
         if end < last_end:
-            entries.append((start, end))  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 2)
+            entries.append((start, end))
 
     # ------------------------------------------------------------------
     # Queries
@@ -167,7 +167,7 @@ class MultiWindowIRS:
         entries = self._frontiers.get(source, {}).get(target)
         if not entries:
             return None
-        return min(end - start + 1 for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 2)
+        return min(end - start + 1 for start, end in entries)
 
     def reaches(self, source: Node, target: Node, window: int) -> bool:
         """``target ∈ σω(source)`` for ω = ``window``."""
@@ -175,7 +175,7 @@ class MultiWindowIRS:
         entries = self._frontiers.get(source, {}).get(target)
         if not entries:
             return False
-        return any(end - start + 1 <= window for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 2)
+        return any(end - start + 1 <= window for start, end in entries)
 
     def earliest_end(
         self, source: Node, target: Node, window: int
@@ -186,7 +186,7 @@ class MultiWindowIRS:
         if not entries:
             return None
         candidates = [
-            end for start, end in entries if end - start + 1 <= window  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 2)
+            end for start, end in entries if end - start + 1 <= window
         ]
         return min(candidates) if candidates else None
 
@@ -197,7 +197,7 @@ class MultiWindowIRS:
         return {
             target
             for target, entries in frontier.items()
-            if any(end - start + 1 <= window for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 2)
+            if any(end - start + 1 <= window for start, end in entries)
         }
 
     def irs_size(self, source: Node, window: int) -> int:

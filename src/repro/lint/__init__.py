@@ -17,7 +17,7 @@ rests on but the Python type system never sees:
 * a runtime allocation sanitizer (:mod:`repro.lint.alloctrace`) that
   measures per-call and per-site allocations in hot regions when
   ``REPRO_DEBUG_ALLOC=1`` — the dynamic counterpart of the hot-path
-  performance rules R301–R305 in :mod:`repro.lint.hotpath` — and whose
+  performance rules R301–R303 in :mod:`repro.lint.hotpath` — and whose
   ``@hotpath``/``@coldpath`` decorators double as the static pass's
   hot-region seed and boundary marks.
 

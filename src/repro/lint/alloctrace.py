@@ -1,4 +1,4 @@
-"""Opt-in runtime allocation sanitizer — the dynamic half of R301–R305.
+"""Opt-in runtime allocation sanitizer — the dynamic half of R301–R303.
 
 The static pass in :mod:`repro.lint.hotpath` flags allocation patterns it
 can prove from the AST; this module measures the allocations that actually
@@ -16,7 +16,7 @@ functions, or via :func:`enable`) the sanitizer records, backed by
   the net number of traced blocks and bytes the scope retained at that
   line, filtered to the hot paths named by ``REPRO_DEBUG_ALLOC_FILTER``
   (default: the sketch/core hot subsystems).  This is what ties a static
-  R301/R304 finding — "this line allocates per iteration" — to measured
+  R301 finding — "this line allocates per iteration" — to measured
   blocks at exactly that line;
 * per :func:`watch` scope: net bytes, **peak** bytes (via
   ``tracemalloc.reset_peak``), and entry count.  Peak is the honest
@@ -86,7 +86,7 @@ REPORT_ENV = "REPRO_DEBUG_ALLOC_REPORT"
 FILTER_ENV = "REPRO_DEBUG_ALLOC_FILTER"
 
 #: Path substrings a snapshot frame must contain for its site to be kept.
-#: Matches the hot subsystems R301–R305 police; override (comma-separated)
+#: Matches the hot subsystems R301–R303 police; override (comma-separated)
 #: with ``REPRO_DEBUG_ALLOC_FILTER``; an empty value keeps every site.
 DEFAULT_FILTER = ("repro/sketch", "repro/core")
 
@@ -269,7 +269,7 @@ F = TypeVar("F", bound=Callable[..., Any])
 
 
 def hotpath(func: F) -> F:
-    """Mark ``func`` as a hot-region seed for the R301–R305 static pass.
+    """Mark ``func`` as a hot-region seed for the R301–R303 static pass.
 
     The static half (:mod:`repro.lint.hotpath`) treats any function
     decorated ``@hotpath`` as a hot-region root and closes over the call

@@ -65,14 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rewrite --baseline FILE from this run's violations and exit 0",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse and lint files with N worker processes (0 = one per "
-        "CPU; default: 1, in-process)",
-    )
-    parser.add_argument(
         "--reference-root",
         action="append",
         metavar="DIR",
@@ -108,9 +100,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if options.jobs < 0:
-        print("repro-lint: error: --jobs must be >= 0", file=sys.stderr)
-        return 2
 
     try:
         selected = (
@@ -133,9 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     filtered = bool(options.select or options.ignore)
     rules = select_rules(selected) if filtered else None
 
-    engine = LintEngine(
-        rules, jobs=options.jobs, reference_roots=options.reference_roots
-    )
+    engine = LintEngine(rules, reference_roots=options.reference_roots)
     try:
         violations, files_checked = engine.lint_paths(options.paths)
     except FileNotFoundError as exc:

@@ -1,4 +1,4 @@
-"""Hot-path performance lint: the hot-region model and rules R301–R305.
+"""Hot-path performance lint: the hot-region model and rules R301–R303.
 
 ROADMAP item 2 names the sketch hot path — dict-of-lists of ``(t, ρ)``
 pairs in ``VersionedHLL``/``IRSSummary`` — as the dominant cost of an
@@ -47,20 +47,13 @@ The rules
 * **R303** ``hot-loop-repeated-lookup`` — the same subscript, ``len()``
   or loop-variant attribute computed twice in a loop body with no
   intervening rebind: compute once, reuse.
-* **R304** ``hot-tuple-churn`` — ``(t, ρ)``-style tuple pack/unpack in a
-  hot region (small-tuple ``for``-unpacking over a stored sequence,
-  small tuples packed into containers) where parallel arrays — the
-  packed register layout ``serve/snapshot.py`` already serialises
-  (``repro-snap/1``) — would avoid per-pair objects.
-* **R305** ``hot-linear-membership`` — ``x in some_list`` inside a hot
-  loop, or ``x in d.keys()`` anywhere hot.
 
-All five are project-scope rules (they need the call graph), thread
+All three are project-scope rules (they need the call graph), thread
 through the baseline ratchet and ``--select``/``--ignore`` prefix
 machinery (``R3`` selects the family), and honour the standard
-``# repro-lint: disable=R30x`` suppressions.  The runtime cross-check —
-confirming a static finding corresponds to measured allocations — lives
-in :mod:`repro.lint.alloctrace`.
+suppression comments (``# repro-lint: disable=R302`` on a line).  The
+runtime cross-check — confirming a static finding corresponds to
+measured allocations — lives in :mod:`repro.lint.alloctrace`.
 """
 
 from __future__ import annotations
@@ -92,8 +85,6 @@ __all__ = [
     "HotLoopAllocation",
     "HotLoopInvariantLookup",
     "HotLoopRepeatedLookup",
-    "HotTupleChurn",
-    "HotLinearMembership",
 ]
 
 #: Sub-packages whose hot functions are *reported* on (closure still
@@ -108,14 +99,6 @@ _AGG_BUILTINS = frozenset({"sum", "min", "max", "any", "all", "sorted"})
 _ITER_WRAPPERS = frozenset({"enumerate", "zip", "reversed"})
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _SCOPE_STMTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-#: Where R304 points: the packed register layout the snapshot format
-#: already uses, and the roadmap item that will adopt it in memory.
-_PACKED_LAYOUT_HINT = (
-    "parallel arrays — the packed (t, rho) register layout serve/snapshot.py "
-    "serialises as repro-snap/1 — avoid per-pair tuple objects (ROADMAP item 2)"
-)
-
 
 # ----------------------------------------------------------------------
 # Small AST helpers
@@ -162,15 +145,6 @@ def _target_names(target: ast.AST) -> Set[str]:
         if isinstance(node, ast.Name):
             names.add(node.id)
     return names
-
-
-def _is_small_name_tuple(node: ast.AST) -> bool:
-    """A 2–3 element tuple literal of plain names/constants."""
-    return (
-        isinstance(node, ast.Tuple)
-        and 2 <= len(node.elts) <= 3
-        and all(isinstance(e, (ast.Name, ast.Constant)) for e in node.elts)
-    )
 
 
 def _is_fresh_container_expr(node: ast.AST) -> bool:
@@ -383,7 +357,7 @@ class _Anchor:
 
 
 class _HotAnalysis:
-    """Hot-region closure plus all R301–R305 findings for one index."""
+    """Hot-region closure plus all R301–R303 findings for one index."""
 
     def __init__(self, index: ProjectIndex) -> None:
         self.index = index
@@ -649,8 +623,6 @@ class _HotAnalysis:
             self._check_r301(fn, locals_map, findings)
             self._check_r302(fn, findings)
             self._check_r303(fn, findings)
-            self._check_r304(fn, findings)
-            self._check_r305(fn, findings)
         return findings
 
     def violations(self, rule: Rule) -> list:
@@ -1055,144 +1027,6 @@ class _HotAnalysis:
                 self._record303(fn, stmt, counts, loop_targets, seen, findings)
                 self._apply_kills(counts, _kills_in(stmt))
 
-    # -- R304: tuple pack/unpack churn ---------------------------------
-    def _check_r304(self, fn: FunctionInfo, findings: List[_Finding]) -> None:
-        path = fn.module.path
-
-        def unpack_finding(target: ast.Tuple, it: ast.AST, anchor: ast.AST) -> None:
-            if not (
-                2 <= len(target.elts) <= 3
-                and all(isinstance(e, ast.Name) for e in target.elts)
-            ):
-                return
-            if not isinstance(it, (ast.Name, ast.Attribute, ast.Subscript)):
-                return
-            names = ", ".join(e.id for e in target.elts)  # type: ignore[attr-defined]
-            findings.append(
-                (
-                    "R304",
-                    path,
-                    anchor,
-                    f"`for {names} in {_expr_label(it)}` unpacks a stored tuple "
-                    f"per element in a hot region; {_PACKED_LAYOUT_HINT}",
-                )
-            )
-
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.For) and isinstance(node.target, ast.Tuple):
-                unpack_finding(node.target, node.iter, node)
-            elif isinstance(node, _COMPREHENSIONS):
-                for gen in node.generators:
-                    if isinstance(gen.target, ast.Tuple):
-                        unpack_finding(gen.target, gen.iter, gen.target)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("append", "add", "insert")
-            ):
-                for arg in node.args:
-                    if _is_small_name_tuple(arg):
-                        findings.append(
-                            (
-                                "R304",
-                                path,
-                                arg,
-                                f"packing `{_expr_label(arg)}` into "
-                                f"`{_expr_label(node.func)}(...)` builds a tuple "
-                                f"per entry in a hot region; {_PACKED_LAYOUT_HINT}",
-                            )
-                        )
-            elif (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Subscript)
-            ):
-                value = node.value
-                packed: Optional[ast.AST] = None
-                if _is_small_name_tuple(value):
-                    packed = value
-                elif (
-                    isinstance(value, ast.List)
-                    and value.elts
-                    and all(_is_small_name_tuple(e) for e in value.elts)
-                ):
-                    packed = value
-                if packed is not None:
-                    findings.append(
-                        (
-                            "R304",
-                            path,
-                            packed,
-                            f"storing `{_expr_label(packed)}` through "
-                            f"`{_expr_label(node.targets[0])}` packs tuples in a "
-                            f"hot region; {_PACKED_LAYOUT_HINT}",
-                        )
-                    )
-
-    # -- R305: accidental O(n) membership ------------------------------
-    def _check_r305(self, fn: FunctionInfo, findings: List[_Finding]) -> None:
-        path = fn.module.path
-        list_names: Set[str] = set()
-        for node in ast.walk(fn.node):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
-                value = node.value
-                is_list = isinstance(value, ast.List) or (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id in ("list", "sorted")
-                )
-                if is_list:
-                    list_names.add(node.targets[0].id)
-                else:
-                    list_names.discard(node.targets[0].id)
-        per_iteration: Set[int] = set()
-        for tree in self._per_iteration_trees(fn):
-            for node in ast.walk(tree):
-                per_iteration.add(id(node))
-        for node in ast.walk(fn.node):
-            if not (
-                isinstance(node, ast.Compare)
-                and len(node.ops) == 1
-                and isinstance(node.ops[0], (ast.In, ast.NotIn))
-            ):
-                continue
-            comparator = node.comparators[0]
-            if (
-                isinstance(comparator, ast.Call)
-                and isinstance(comparator.func, ast.Attribute)
-                and comparator.func.attr == "keys"
-                and not comparator.args
-            ):
-                findings.append(
-                    (
-                        "R305",
-                        path,
-                        node,
-                        f"membership against `{_expr_label(comparator)}` in a hot "
-                        "region — test `in` on the mapping itself (O(1)) instead "
-                        "of materialising `.keys()`",
-                    )
-                )
-            elif (
-                isinstance(comparator, ast.Name)
-                and comparator.id in list_names
-                and id(node) in per_iteration
-            ):
-                findings.append(
-                    (
-                        "R305",
-                        path,
-                        node,
-                        f"`in {comparator.id}` scans a list per iteration of a "
-                        "hot loop — build a set once and test membership "
-                        "against it",
-                    )
-                )
-
 
 _ANALYSIS_CACHE: "WeakKeyDictionary[ProjectIndex, _HotAnalysis]" = WeakKeyDictionary()
 
@@ -1257,25 +1091,4 @@ class HotLoopRepeatedLookup(_HotPathRule):
     description = (
         "Identical subscript, len(), or loop-variant attribute computed "
         "repeatedly in a hot loop body with no intervening rebind."
-    )
-
-
-@register
-class HotTupleChurn(_HotPathRule):
-    rule_id = "R304"
-    name = "hot-tuple-churn"
-    description = (
-        "(t, rho)-style tuple pack/unpack churn in a hot region where "
-        "parallel arrays (the serve/snapshot.py packed register layout) "
-        "would serve."
-    )
-
-
-@register
-class HotLinearMembership(_HotPathRule):
-    rule_id = "R305"
-    name = "hot-linear-membership"
-    description = (
-        "Accidental O(n) membership test in a hot region: `x in some_list` "
-        "inside a loop, or `x in d.keys()` anywhere hot."
     )

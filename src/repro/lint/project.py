@@ -1,27 +1,24 @@
 """Whole-program index for the cross-module lint rules.
 
-The per-file rules (R001–R004) see one ``ast.Module`` at a time; the
-paper's correctness, however, rests on *cross-module* invariants —
-window/precision parameters flowing validated through every call path,
-vHLL sketches merged only with identical ``(precision, salt)`` (Lemma
-2, §3.2), reverse-chronological input feeding Algorithm 2.  This module
-builds the shared substrate those rules (R101–R105 in
-:mod:`repro.lint.rules_project`) query:
+The per-file rules (R001/R004/R006) see one ``ast.Module`` at a time; some
+of the paper's invariants, however, cross modules — window/precision
+parameters must flow validated through every call path.  This module
+builds the shared substrate the project rules (R101/R104/R106 in
+:mod:`repro.lint.rules_project`, the concurrency and hot-path passes)
+query:
 
 * per-module **symbol tables** (top-level functions, classes, methods);
 * the **import graph** (local alias → dotted target);
 * a conservative **call graph** via :meth:`ProjectIndex.call_graph`,
   resolving ``name(...)``, ``module.name(...)``, ``self.method(...)``
   and ``cls(...)`` call forms to indexed functions;
-* lightweight per-class dataflow facts: ``self._attr = param`` aliases
-  recorded in ``__init__`` and ``self._attr: T`` annotations, which let
-  R105 normalise constructor configurations and type sketch-valued
-  attributes.
+* per-class ``self._attr: T`` annotations, which type attribute-valued
+  receivers.
 
 Resolution is *conservative*: a callee that cannot be resolved inside
 the project is reported as unresolved, and the rules decide whether to
-be optimistic (R101 treats unknown forwards as potentially validating,
-like R002) or pessimistic (R105 refuses to equate unprovable configs).
+be optimistic (R101 treats unknown forwards as potentially validating)
+or pessimistic (R101 lets a validation cycle contribute nothing).
 
 The index is path-layout tolerant: module dotted names are derived from
 the path components after the last ``src`` segment, and
@@ -36,7 +33,7 @@ import ast
 import builtins
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -181,18 +178,6 @@ class FunctionInfo:
             ordered = ordered[1:]
         return ordered
 
-    def param_defaults(self) -> Dict[str, ast.AST]:
-        """Parameter name → default-value expression, where one exists."""
-        args = self.node.args
-        ordered = args.posonlyargs + args.args
-        defaults: Dict[str, ast.AST] = {}
-        for arg, default in zip(reversed(ordered), reversed(args.defaults)):
-            defaults[arg.arg] = default
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                defaults[arg.arg] = default
-        return defaults
-
     @property
     def is_public(self) -> bool:
         return self.name == "__init__" or not self.name.startswith("_")
@@ -209,9 +194,6 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: ``self._attr: T`` (in ``__init__``) and class-body ``attr: T``.
     attr_annotations: Dict[str, ast.AST] = field(default_factory=dict)
-    #: ``self._attr = param`` recorded in ``__init__`` — lets R105 treat
-    #: ``self._precision`` as an alias of the constructor's ``precision``.
-    init_aliases: Dict[str, str] = field(default_factory=dict)
 
     @property
     def init(self) -> Optional[FunctionInfo]:
@@ -367,7 +349,6 @@ class ProjectIndex:
                 cls_info.attr_annotations[stmt.target.id] = stmt.annotation
         init = cls_info.methods.get("__init__")
         if init is not None:
-            init_params = set(init.params)
             for stmt in ast.walk(init.node):
                 if isinstance(stmt, ast.AnnAssign):
                     target = stmt.target
@@ -377,18 +358,6 @@ class ProjectIndex:
                         and target.value.id == "self"
                     ):
                         cls_info.attr_annotations[target.attr] = stmt.annotation
-                        if isinstance(stmt.value, ast.Name) and stmt.value.id in init_params:
-                            cls_info.init_aliases[target.attr] = stmt.value.id
-                elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target = stmt.targets[0]
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and isinstance(stmt.value, ast.Name)
-                        and stmt.value.id in init_params
-                    ):
-                        cls_info.init_aliases[target.attr] = stmt.value.id
         return cls_info
 
     def _collect_exports(self, info: ModuleInfo) -> None:

@@ -8,23 +8,12 @@ rationale):
   algorithm packages (``core``, ``sketch``, ``simulation``,
   ``baselines``).  Experiments must be bit-for-bit reproducible from a
   seed; stochastic components go through :mod:`repro.utils.rng`.
-* **R002** — public algorithm entry points taking window/precision/
-  probability parameters must validate them through
-  :mod:`repro.utils.validation` (or forward them to a callee that does).
-* **R003** — no in-place mutation of a sequence bound from a sort or
-  loader result.  The one-pass algorithms assume time-sorted input;
-  mutating a sorted sequence silently breaks Definition 2.
 * **R004** — public functions in ``core`` and ``sketch`` carry complete
   type annotations, keeping the mypy gate meaningful.
 * **R006** — no direct timing calls (``time.perf_counter()``,
   ``time.time()``, …) outside ``repro/utils/timer.py`` and
   ``repro/obs/``; all measurement flows through the instrumented layer
   so observability sees every clock read.
-* **R007** — no mutable default argument values (``{}``, ``[]``,
-  ``set()``, comprehensions, …).  Defaults are evaluated once at
-  definition time, so a mutable default is shared across every call —
-  state leaking between exporter invocations is exactly how label sets
-  bleed between metric families.  Use ``None`` and materialise inside.
 
 Rules are plain classes registered in :data:`REGISTRY`; adding a rule is
 subclassing :class:`Rule` and decorating with :func:`register`.
@@ -43,11 +32,8 @@ __all__ = [
     "select_rules",
     "expand_rule_selectors",
     "NoWallClockOrUnseededRandom",
-    "ValidateAlgorithmParameters",
-    "NoMutationAfterSort",
     "PublicApiFullyAnnotated",
     "NoDirectTimingCalls",
-    "NoMutableDefaultArguments",
 ]
 
 ALGORITHM_SCOPES = frozenset({"core", "sketch", "simulation", "baselines", "serve"})
@@ -268,232 +254,6 @@ class NoWallClockOrUnseededRandom(Rule):
 
 
 # ----------------------------------------------------------------------
-# R002 — parameter validation
-# ----------------------------------------------------------------------
-
-
-@register
-class ValidateAlgorithmParameters(Rule):
-    """Require repro.utils.validation checks on algorithm parameters."""
-
-    rule_id = "R002"
-    name = "validate-algorithm-parameters"
-    description = (
-        "Public entry points taking window/omega, precision/num_registers or "
-        "probability parameters must validate them via repro.utils.validation "
-        "(or forward them, by name, to a callee that does)."
-    )
-    scopes = ALGORITHM_SCOPES
-
-    #: Monitored parameter name → validator names that discharge it.
-    MONITORED: Dict[str, frozenset] = {
-        "window": frozenset(
-            {"require_non_negative", "require_positive", "require_in_range", "require_int"}
-        ),
-        "omega": frozenset(
-            {"require_non_negative", "require_positive", "require_in_range", "require_int"}
-        ),
-        "precision": frozenset(
-            {"require_in_range", "require_power_of_two", "require_positive", "require_int"}
-        ),
-        "num_registers": frozenset(
-            {"require_in_range", "require_power_of_two", "require_positive", "require_int"}
-        ),
-        "probability": frozenset({"require_probability", "require_in_range"}),
-    }
-
-    def check(self, ctx) -> list:
-        violations = []
-        for func in _walk_functions(ctx.tree):
-            if not _is_public_entry_point(func):
-                continue
-            monitored = [
-                arg.arg
-                for arg in (func.args.posonlyargs + func.args.args + func.args.kwonlyargs)
-                if arg.arg in self.MONITORED
-            ]
-            if not monitored:
-                continue
-            validated, forwarded = self._classify_uses(func)
-            for param in monitored:
-                if param in validated or param in forwarded:
-                    continue
-                violations.append(
-                    self.violation(
-                        ctx,
-                        func,
-                        f"parameter {param!r} of {func.name}() is neither validated "
-                        f"via repro.utils.validation ("
-                        f"{'/'.join(sorted(self.MONITORED[param]))}) nor forwarded "
-                        "to a callee that validates it",
-                    )
-                )
-        return violations
-
-    def _classify_uses(self, func) -> tuple:
-        """Partition monitored params into validated / forwarded-by-name."""
-        validated: set = set()
-        forwarded: set = set()
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = _callee_name(node)
-            short = callee.rsplit(".", 1)[-1] if callee else ""
-            is_validator = short.startswith("require_")
-            for arg in node.args:
-                if isinstance(arg, ast.Name) and arg.id in self.MONITORED:
-                    if is_validator and short in self.MONITORED[arg.id]:
-                        validated.add(arg.id)
-                    elif not is_validator:
-                        forwarded.add(arg.id)
-            for keyword in node.keywords:
-                value = keyword.value
-                if not (isinstance(value, ast.Name) and value.id in self.MONITORED):
-                    continue
-                if is_validator and short in self.MONITORED[value.id]:
-                    validated.add(value.id)
-                elif not is_validator and keyword.arg == value.id:
-                    forwarded.add(value.id)
-        return validated, forwarded
-
-
-# ----------------------------------------------------------------------
-# R003 — sorted sequences stay immutable
-# ----------------------------------------------------------------------
-
-
-@register
-class NoMutationAfterSort(Rule):
-    """Flag in-place mutation of names bound from sort/loader results."""
-
-    rule_id = "R003"
-    name = "no-mutation-after-sort"
-    description = (
-        "A sequence bound from sorted(...) or a loader must not be mutated "
-        "in place (.sort/.append/…, item assignment); the one-pass scans "
-        "assume the time order fixed at construction."
-    )
-    scopes = None  # everywhere under src/repro
-
-    MUTATORS = frozenset(
-        {"sort", "append", "extend", "insert", "remove", "pop", "clear", "reverse"}
-    )
-
-    #: A call binds a "sorted sequence" when its callee matches one of
-    #: these: the builtin sort, any loader (`load_*`), or the log's
-    #: order-materialising helpers.
-    PRODUCER_NAMES = frozenset({"sorted"})
-    PRODUCER_PREFIXES = ("load_",)
-    PRODUCER_ATTRS = frozenset({"reverse_time_order", "forward"})
-
-    def check(self, ctx) -> list:
-        violations = []
-        module_tracked: Dict[str, int] = {}
-        self._scan_body(ctx, ctx.tree.body, module_tracked, violations)
-        return violations
-
-    # -- producers ------------------------------------------------------
-    def _is_producer(self, value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        name = _callee_name(value)
-        if name is None:
-            return False
-        short = name.rsplit(".", 1)[-1]
-        return (
-            short in self.PRODUCER_NAMES
-            or short in self.PRODUCER_ATTRS
-            or any(short.startswith(prefix) for prefix in self.PRODUCER_PREFIXES)
-        )
-
-    # -- statement-ordered scan ----------------------------------------
-    def _scan_body(self, ctx, body, tracked: Dict[str, int], violations: list) -> None:
-        for stmt in body:
-            self._scan_stmt(ctx, stmt, tracked, violations)
-
-    def _scan_stmt(self, ctx, stmt, tracked: Dict[str, int], violations: list) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Fresh scope: parameters shadow, module bindings are visible.
-            inner = dict(tracked)
-            for arg in stmt.args.args + stmt.args.posonlyargs + stmt.args.kwonlyargs:
-                inner.pop(arg.arg, None)
-            self._scan_body(ctx, stmt.body, inner, violations)
-            return
-        if isinstance(stmt, ast.ClassDef):
-            self._scan_body(ctx, stmt.body, dict(tracked), violations)
-            return
-        if isinstance(stmt, ast.Assign):
-            self._check_expr(ctx, stmt.value, tracked, violations)
-            for target in stmt.targets:
-                self._rebind(target, stmt.value, tracked)
-            return
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._check_expr(ctx, stmt.value, tracked, violations)
-            self._rebind(stmt.target, stmt.value, tracked)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            # `log += [...]` mutates/rebinds; treat as a violation for
-            # tracked names, then drop tracking.
-            if isinstance(stmt.target, ast.Name) and stmt.target.id in tracked:
-                violations.append(
-                    self.violation(
-                        ctx,
-                        stmt,
-                        f"augmented assignment mutates {stmt.target.id!r}, which was "
-                        "bound from a sort/loader result",
-                    )
-                )
-                tracked.pop(stmt.target.id, None)
-            self._check_expr(ctx, stmt.value, tracked, violations)
-            return
-        # Generic statements: check contained expressions, recurse into
-        # compound-statement bodies preserving statement order.
-        for expr_field in ("value", "test", "iter"):
-            value = getattr(stmt, expr_field, None)
-            if isinstance(value, ast.expr):
-                self._check_expr(ctx, value, tracked, violations)
-        for body_field in ("body", "orelse", "finalbody"):
-            body = getattr(stmt, body_field, None)
-            if isinstance(body, list):
-                self._scan_body(ctx, body, tracked, violations)
-        for handler in getattr(stmt, "handlers", []) or []:
-            self._scan_body(ctx, handler.body, tracked, violations)
-        for item in getattr(stmt, "items", []) or []:  # with-statements
-            self._check_expr(ctx, item.context_expr, tracked, violations)
-
-    def _rebind(self, target: ast.AST, value: ast.AST, tracked: Dict[str, int]) -> None:
-        if isinstance(target, ast.Name):
-            if self._is_producer(value):
-                tracked[target.id] = getattr(value, "lineno", 0)
-            else:
-                tracked.pop(target.id, None)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._rebind(element, ast.Constant(value=None), tracked)
-
-    def _check_expr(self, ctx, expr: ast.AST, tracked: Dict[str, int], violations: list) -> None:
-        for node in ast.walk(expr):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in self.MUTATORS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in tracked
-            ):
-                violations.append(
-                    self.violation(
-                        ctx,
-                        node,
-                        f"{func.value.id}.{func.attr}(...) mutates a sequence bound "
-                        f"from a sort/loader result on line "
-                        f"{tracked[func.value.id]}; build a new sequence instead",
-                    )
-                )
-
-
-# ----------------------------------------------------------------------
 # R006 — timing goes through utils.timer / obs
 # ----------------------------------------------------------------------
 
@@ -639,87 +399,3 @@ class PublicApiFullyAnnotated(Rule):
         if func.returns is None:
             missing.append("return")
         return missing
-
-
-# ----------------------------------------------------------------------
-# R007 — no mutable default argument values
-# ----------------------------------------------------------------------
-
-
-@register
-class NoMutableDefaultArguments(Rule):
-    """Flag mutable literals and constructor calls used as defaults."""
-
-    rule_id = "R007"
-    name = "no-mutable-default-arguments"
-    description = (
-        "Default values are evaluated once at function definition, so a "
-        "mutable default ({}, [], set(), dict(), comprehensions) is shared "
-        "across every call; default to None and build the value inside."
-    )
-    scopes = None  # everywhere under src/repro
-
-    #: Literal/comprehension nodes that always build a fresh mutable value.
-    MUTABLE_NODES = (
-        ast.Dict,
-        ast.List,
-        ast.Set,
-        ast.ListComp,
-        ast.SetComp,
-        ast.DictComp,
-    )
-
-    #: Constructor calls that build a mutable container.
-    MUTABLE_CALLS = frozenset(
-        {
-            "dict",
-            "list",
-            "set",
-            "bytearray",
-            "collections.defaultdict",
-            "collections.deque",
-            "collections.Counter",
-            "collections.OrderedDict",
-            "defaultdict",
-            "deque",
-            "Counter",
-            "OrderedDict",
-        }
-    )
-
-    def check(self, ctx) -> list:
-        violations = []
-        for func in _walk_functions(ctx.tree):
-            args = func.args
-            defaults = list(args.defaults) + [
-                default for default in args.kw_defaults if default is not None
-            ]
-            for default in defaults:
-                described = self._describe_mutable(default)
-                if described is not None:
-                    violations.append(
-                        self.violation(
-                            ctx,
-                            default,
-                            f"mutable default {described} in {func.name}() is "
-                            "evaluated once and shared across calls; default "
-                            "to None and construct the value in the body",
-                        )
-                    )
-        return violations
-
-    def _describe_mutable(self, default: ast.AST) -> Optional[str]:
-        """A short description of the default when mutable, else ``None``."""
-        if isinstance(default, ast.Dict):
-            return "{...}" if default.keys else "{}"
-        if isinstance(default, ast.List):
-            return "[...]" if default.elts else "[]"
-        if isinstance(default, ast.Set):
-            return "{...}"
-        if isinstance(default, (ast.ListComp, ast.SetComp, ast.DictComp)):
-            return "a comprehension"
-        if isinstance(default, ast.Call):
-            name = _callee_name(default)
-            if name is not None and name in self.MUTABLE_CALLS:
-                return f"{name}(...)" if (default.args or default.keywords) else f"{name}()"
-        return None

@@ -154,7 +154,7 @@ class VersionedHLL:
         if pairs is None:
             # The (t, ρ) list-of-tuples cell layout is the paper's data
             # structure; the packed-array rewrite is ROADMAP item 2.
-            self._cells[cell] = [(timestamp, r)]  # repro-lint: disable=R304 (packed layout is ROADMAP item 2)
+            self._cells[cell] = [(timestamp, r)]
             if _OBS.enabled:
                 _PAIRS_INSERTED.inc()
             return
@@ -182,7 +182,7 @@ class VersionedHLL:
         n = len(pairs)
         while j < n and pairs[j][1] <= r:
             j += 1
-        pairs[i:j] = [(timestamp, r)]  # repro-lint: disable=R304 (packed layout is ROADMAP item 2)
+        pairs[i:j] = [(timestamp, r)]
         if _OBS.enabled:
             _PAIRS_INSERTED.inc()
             if j > i:
@@ -201,7 +201,7 @@ class VersionedHLL:
         for cell_index, pairs in enumerate(other._cells):  # repro-lint: budget=O(m·F)
             if not pairs:
                 continue
-            for t, r in pairs:  # repro-lint: disable=R304 (packed layout is ROADMAP item 2)
+            for t, r in pairs:
                 insert_pair(cell_index, r, t)
 
     @invariant(post_vhll_mutation)
@@ -223,7 +223,7 @@ class VersionedHLL:
         for cell_index, pairs in enumerate(other._cells):  # repro-lint: budget=O(m·F)
             if not pairs:
                 continue
-            for t, r in pairs:  # repro-lint: disable=R304 (packed layout is ROADMAP item 2)
+            for t, r in pairs:
                 if t >= deadline:
                     break  # pairs are time-sorted; the rest are too late
                 insert_pair(cell_index, r, t)

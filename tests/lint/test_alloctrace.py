@@ -1,5 +1,5 @@
 """Runtime allocation sanitizer: gating, measurement, budgets, and the
-static↔dynamic correspondence for the R301–R305 findings."""
+static↔dynamic correspondence for the hot-path findings."""
 
 from __future__ import annotations
 
@@ -153,11 +153,11 @@ def test_watch_site_accounting_honours_the_filter(sanitizer, monkeypatch):
 
 
 def test_vhll_insert_sites_show_up_in_the_watch_report(sanitizer):
-    """The R304-suppressed vhll lines allocate for real.
+    """The vhll insert lines allocate for real.
 
-    The static pass points at the tuple-packing lines in
-    ``VersionedHLL._insert_pair``; under the sanitizer those exact
-    ``sketch/vhll.py`` sites retain measurable blocks.
+    ``VersionedHLL._insert_pair`` packs one ``(t, rho)`` tuple per stored
+    pair; under the sanitizer those exact ``sketch/vhll.py`` sites retain
+    measurable blocks — the per-pair cost a packed layout would remove.
     """
     sketch = VersionedHLL(precision=4)
     with watch("vhll-inserts"):

@@ -1,6 +1,6 @@
 """Hot-region model: seeding, call-graph closure, and cold boundaries.
 
-The R301–R305 checks only fire inside the *hot region* — the call-graph
+The R301–R303 checks only fire inside the *hot region* — the call-graph
 closure of ``@hotpath``-marked functions and benchmark roots, cut at
 ``@coldpath`` boundaries.  These tests pin the region itself down via
 :func:`repro.lint.hotpath.hot_region`; rule behaviour is covered in

@@ -1,4 +1,4 @@
-"""Positive/negative fixtures for the cross-module rules R101–R106."""
+"""Positive/negative fixtures for the cross-module rules R101, R103, R104 and R106."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from repro.lint.rules_project import (
     DeadExports,
     InterproceduralParameterValidation,
     ProjectRule,
-    SketchMergeCompatibility,
-    TemporalOrderMisuse,
     TimingImportsOutsideTimer,
 )
 
@@ -25,16 +23,13 @@ def project_violations(sources, rule_id, external=()):
 
 def test_rule_classes_registered_under_expected_ids():
     assert isinstance(get_rule("R101"), InterproceduralParameterValidation)
-    assert isinstance(get_rule("R102"), TemporalOrderMisuse)
     assert isinstance(get_rule("R103"), ComplexityBudget)
     assert isinstance(get_rule("R104"), DeadExports)
-    assert isinstance(get_rule("R105"), SketchMergeCompatibility)
     assert isinstance(get_rule("R106"), TimingImportsOutsideTimer)
-    for rule_id in ("R101", "R104", "R105", "R106"):
+    for rule_id in ("R101", "R104", "R106"):
         assert isinstance(get_rule(rule_id), ProjectRule)
         assert get_rule(rule_id).project_scope
-    for rule_id in ("R102", "R103"):
-        assert not get_rule(rule_id).project_scope
+    assert not get_rule("R103").project_scope
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +54,74 @@ def check_window(window):
 """
 
 
+#: A constructor that validates nothing.
+INDEX_UNVALIDATED = """
+class Index:
+    def __init__(self, window, precision=9):
+        self.window = window
+        self.precision = precision
+"""
+
+#: ``require_in_range`` bounds ``precision`` but never checks its type.
+INDEX_RANGE_ONLY_PRECISION = """
+from repro.utils.validation import require_in_range, require_int, require_non_negative
+
+
+class Index:
+    def __init__(self, window, precision=9):
+        require_int(window, "window")
+        require_non_negative(window, "window")
+        require_in_range(precision, "precision", 2, 20)
+        self.window = window
+        self.precision = precision
+"""
+
+#: Forwards window/precision by name; ``log`` is used unchecked.
+BUILD_FORWARDING = """
+def build(log, window, precision=9):
+    return Index(window, precision=precision)
+"""
+
+
 class TestR101:
+    @pytest.mark.parametrize(
+        "sources, flagged",
+        [
+            pytest.param(
+                {"pkg/index.py": INDEX_UNVALIDATED},
+                {("pkg/index.py", "window"), ("pkg/index.py", "precision")},
+                id="unvalidated-constructor",
+            ),
+            pytest.param(
+                {"pkg/index.py": INDEX_RANGE_ONLY_PRECISION},
+                {("pkg/index.py", "precision")},
+                id="range-check-without-type-check",
+            ),
+            pytest.param(
+                {"pkg/build.py": BUILD_FORWARDING},
+                {("pkg/build.py", "log")},
+                id="unresolved-forward-trusted",
+            ),
+            pytest.param(
+                {
+                    "pkg/index.py": INDEX_UNVALIDATED,
+                    "pkg/build.py": "from pkg.index import Index\n" + BUILD_FORWARDING,
+                },
+                {
+                    ("pkg/index.py", "window"),
+                    ("pkg/index.py", "precision"),
+                    ("pkg/build.py", "log"),
+                    ("pkg/build.py", "window"),
+                    ("pkg/build.py", "precision"),
+                },
+                id="forward-to-unvalidated-callee",
+            ),
+        ],
+    )
+    def test_flagged_parameters(self, sources, flagged):
+        violations = project_violations(sources, "R101")
+        assert {(v.path, v.message.split("'")[1]) for v in violations} == flagged
+
     def test_unvalidated_public_parameter_flagged(self):
         sources = {"pkg/algo.py": "def run(window):\n    return window + 1\n"}
         violations = project_violations(sources, "R101")
@@ -134,65 +196,6 @@ class TestR101:
         }
         violations = project_violations(sources, "R101")
         assert {v.path for v in violations} == {"pkg/a.py", "pkg/b.py"}
-
-
-# ----------------------------------------------------------------------
-# R102 — temporal-order misuse
-# ----------------------------------------------------------------------
-
-
-class TestR102:
-    def lint(self, source):
-        return lint_source(source, rules=[get_rule("R102")])
-
-    def test_set_iteration_into_process_time(self):
-        violations = self.lint(
-            "def feed(state, times):\n"
-            "    for t in set(times):\n"
-            "        state.process('a', 'b', t)\n"
-        )
-        assert len(violations) == 1
-        assert "set(...)" in violations[0].message
-
-    def test_dict_values_into_time_keyword(self):
-        violations = self.lint(
-            "def feed(state, stamps):\n"
-            "    for t in stamps.values():\n"
-            "        state.process('a', 'b', time=t)\n"
-        )
-        assert len(violations) == 1
-        assert ".values()" in violations[0].message
-
-    def test_sorted_cleanses_the_taint(self):
-        assert (
-            self.lint(
-                "def feed(state, times):\n"
-                "    for t in sorted(set(times)):\n"
-                "        state.process('a', 'b', t)\n"
-            )
-            == []
-        )
-
-    def test_reassignment_clears_taint(self):
-        assert (
-            self.lint(
-                "def feed(state, times):\n"
-                "    t = set(times)\n"
-                "    t = 5\n"
-                "    state.process('a', 'b', t)\n"
-            )
-            == []
-        )
-
-    def test_non_time_arguments_are_ignored(self):
-        assert (
-            self.lint(
-                "def feed(state, times):\n"
-                "    for t in set(times):\n"
-                "        state.process(t, 'b', 0)\n"
-            )
-            == []
-        )
 
 
 # ----------------------------------------------------------------------
@@ -286,119 +289,6 @@ class TestR104:
         sources["pkg/__init__.py"] = "from pkg.mod import unused\n"
         violations = project_violations(sources, "R104")
         assert [v.message.split("'")[1] for v in violations] == ["unused"]
-
-
-# ----------------------------------------------------------------------
-# R105 — sketch merge compatibility
-# ----------------------------------------------------------------------
-
-SKETCH = """
-class Sketch:
-    def __init__(self, precision: int = 9, salt: int = 0):
-        self._precision = precision
-        self._salt = salt
-
-    def merge(self, other):
-        pass
-
-    def merge_within(self, other, start_time, window):
-        pass
-"""
-
-
-def r105_user(body):
-    return {"src/repro/sketch/lib.py": SKETCH, "src/repro/core/user.py": body}
-
-
-class TestR105:
-    def test_equal_constructions_accepted(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "def combine():\n"
-            "    a = Sketch(precision=9)\n"
-            "    b = Sketch(precision=9)\n"
-            "    a.merge(b)\n"
-            "    return a\n"
-        )
-        assert project_violations(sources, "R105") == []
-
-    def test_differing_precision_flagged(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "def combine():\n"
-            "    a = Sketch(precision=9)\n"
-            "    b = Sketch(precision=12)\n"
-            "    a.merge(b)\n"
-            "    return a\n"
-        )
-        violations = project_violations(sources, "R105")
-        assert len(violations) == 1
-        assert "differing constructor configuration" in violations[0].message
-
-    def test_default_arguments_participate_in_the_config(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "def combine():\n"
-            "    a = Sketch(9, 1)\n"
-            "    b = Sketch(9)\n"
-            "    a.merge_within(b, 0, 5)\n"
-            "    return a\n"
-        )
-        violations = project_violations(sources, "R105")
-        assert len(violations) == 1
-        assert "salt" in violations[0].message
-
-    def test_single_class_pool_construction_is_proof(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "class Pool:\n"
-            "    def __init__(self, precision: int):\n"
-            "        self._precision = precision\n"
-            "\n"
-            "    def fresh(self) -> Sketch:\n"
-            "        return Sketch(self._precision, 0)\n"
-            "\n"
-            "    def fold(self, target: Sketch, source: Sketch):\n"
-            "        target.merge(source)\n"
-        )
-        assert project_violations(sources, "R105") == []
-
-    def test_mixed_class_pool_cannot_prove(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "class Pool:\n"
-            "    def __init__(self, precision: int):\n"
-            "        self._precision = precision\n"
-            "\n"
-            "    def fresh(self) -> Sketch:\n"
-            "        return Sketch(self._precision, 0)\n"
-            "\n"
-            "    def spare(self) -> Sketch:\n"
-            "        return Sketch(4, 0)\n"
-            "\n"
-            "    def fold(self, target: Sketch, source: Sketch):\n"
-            "        target.merge(source)\n"
-        )
-        violations = project_violations(sources, "R105")
-        assert len(violations) == 1
-        assert "cannot prove" in violations[0].message
-
-    def test_suppression_comment_silences_the_site(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "def combine():\n"
-            "    a = Sketch(precision=9)\n"
-            "    b = Sketch(precision=12)\n"
-            "    a.merge(b)  # repro-lint: disable=R105\n"
-            "    return a\n"
-        )
-        assert project_violations(sources, "R105") == []
 
 
 # ----------------------------------------------------------------------

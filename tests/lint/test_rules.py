@@ -8,15 +8,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.lint.engine import LintEngine, lint_source
+from repro.lint.engine import FileContext, LintEngine, lint_project_sources, lint_source
 from repro.lint.cli import main
 from repro.lint.rules import (
     NoDirectTimingCalls,
-    NoMutableDefaultArguments,
-    NoMutationAfterSort,
     NoWallClockOrUnseededRandom,
     PublicApiFullyAnnotated,
-    ValidateAlgorithmParameters,
     all_rules,
     get_rule,
     select_rules,
@@ -82,104 +79,6 @@ def test_r001_is_scoped_to_algorithm_packages():
     assert lint_with("R001", R001_POSITIVE, subpackage="core")
     assert lint_with("R001", R001_POSITIVE, subpackage="analysis") == []
     assert lint_with("R001", R001_POSITIVE, subpackage="utils") == []
-
-
-# ----------------------------------------------------------------------
-# R002 — algorithm parameters validated
-# ----------------------------------------------------------------------
-
-
-R002_POSITIVE = """
-class Index:
-    def __init__(self, window, precision=9):
-        self.window = window
-        self.precision = precision
-"""
-
-R002_NEGATIVE_VALIDATED = """
-from repro.utils.validation import require_in_range, require_int, require_non_negative
-
-
-class Index:
-    def __init__(self, window, precision=9):
-        require_int(window, "window")
-        require_non_negative(window, "window")
-        require_in_range(precision, "precision", 2, 20)
-        self.window = window
-        self.precision = precision
-"""
-
-R002_NEGATIVE_FORWARDED = """
-def build(log, window, precision=9):
-    return Index(window, precision=precision)
-"""
-
-
-def test_r002_flags_unvalidated_parameters():
-    violations = lint_with("R002", R002_POSITIVE)
-    assert len(violations) == 2
-    assert "window" in violations[0].message or "window" in violations[1].message
-
-
-def test_r002_accepts_validation_and_forwarding():
-    assert lint_with("R002", R002_NEGATIVE_VALIDATED) == []
-    assert lint_with("R002", R002_NEGATIVE_FORWARDED) == []
-
-
-def test_r002_ignores_private_helpers():
-    source = "def _helper(window):\n    return window + 1\n"
-    assert lint_with("R002", source) == []
-
-
-# ----------------------------------------------------------------------
-# R003 — sorted sequences stay immutable
-# ----------------------------------------------------------------------
-
-
-R003_POSITIVE = """
-def build(raw):
-    ordered = sorted(raw)
-    ordered.append(raw[0])
-    return ordered
-
-
-def ingest(path):
-    log = load_interactions(path)
-    log.sort()
-    return log
-"""
-
-R003_NEGATIVE = """
-def build(raw):
-    ordered = sorted(raw)
-    copy = list(ordered)
-    copy.append(raw[0])
-    return copy
-
-
-def rebind(raw):
-    ordered = sorted(raw)
-    ordered = [x for x in ordered if x]
-    ordered.append(0)
-    return ordered
-"""
-
-
-def test_r003_flags_mutation_of_sorted_and_loaded_sequences():
-    violations = lint_with("R003", R003_POSITIVE)
-    assert len(violations) == 2
-    assert "ordered.append" in violations[0].message
-    assert "log.sort" in violations[1].message
-
-
-def test_r003_allows_copies_and_rebinding():
-    assert lint_with("R003", R003_NEGATIVE) == []
-
-
-def test_r003_flags_augmented_assignment():
-    source = "def f(raw):\n    log = sorted(raw)\n    log += [1]\n    return log\n"
-    violations = lint_with("R003", source)
-    assert len(violations) == 1 and "augmented" in violations[0].message
 
 
 # ----------------------------------------------------------------------
@@ -287,76 +186,44 @@ def test_r006_exempts_the_instrumented_layer():
 
 
 # ----------------------------------------------------------------------
-# R007 — no mutable default argument values
-# ----------------------------------------------------------------------
-
-
-R007_POSITIVE = """
-def render(labels, extra={}):
-    return {**labels, **extra}
-
-
-def collect(items=[], *, seen=set(), index=dict(), tail=[x for x in ()]):
-    items.append(len(seen))
-    return items, index, tail
-"""
-
-R007_NEGATIVE = """
-def render(labels, extra=None, sep=",", limit=10, shape=(3, 4)):
-    merged = {**labels, **(extra or {})}
-    return sep.join(merged), limit, shape
-
-
-def collect(items=None, *, seen=frozenset(), name=""):
-    materialised = list(items or [])
-    return materialised, seen, name
-"""
-
-
-def test_r007_flags_mutable_defaults_and_kw_defaults():
-    violations = lint_with("R007", R007_POSITIVE)
-    assert ids_of(violations) == ["R007"]
-    assert len(violations) == 5
-    messages = " ".join(violation.message for violation in violations)
-    assert "extra={}" not in messages  # message names the default, not the source
-    assert "{}" in messages and "[]" in messages
-    assert "set()" in messages and "dict()" in messages
-    assert "comprehension" in messages
-    assert all("shared across calls" in v.message for v in violations)
-
-
-def test_r007_accepts_immutable_and_none_defaults():
-    rule = get_rule("R007")
-    assert isinstance(rule, NoMutableDefaultArguments)
-    assert lint_with("R007", R007_NEGATIVE) == []
-
-
-def test_r007_applies_in_every_subpackage():
-    assert lint_with("R007", R007_POSITIVE, subpackage="obs")
-    assert lint_with("R007", R007_POSITIVE, subpackage="core")
-
-
-# ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
 
 
 def test_file_level_suppression_silences_the_whole_file():
-    source = "# repro-lint: disable=R003\n" + R003_POSITIVE
-    assert lint_with("R003", source) == []
+    source = "# repro-lint: disable=R006\n" + R006_POSITIVE
+    assert lint_with("R006", source) == []
 
 
 def test_line_level_suppression_silences_one_line_only():
-    source = R003_POSITIVE.replace(
-        "ordered.append(raw[0])", "ordered.append(raw[0])  # repro-lint: disable=R003"
-    )
-    violations = lint_with("R003", source)
-    assert len(violations) == 1 and "log.sort" in violations[0].message
+    marked = "    start = time.perf_counter()  # repro-lint: disable=R006"
+    source = R006_POSITIVE.replace("    start = time.perf_counter()", marked)
+    suppressed_line = source.splitlines().index(marked) + 1
+    violations = lint_with("R006", source)
+    assert len(violations) == 3
+    assert suppressed_line not in {violation.line for violation in violations}
 
 
 def test_disable_all_suppresses_every_rule():
-    source = "# repro-lint: disable=all\n" + R001_POSITIVE + R003_POSITIVE
+    source = "# repro-lint: disable=all\n" + R001_POSITIVE + R006_POSITIVE
     assert lint_source(source) == []
+
+
+@pytest.mark.parametrize("root", ["src/repro", "benchmarks", "examples"])
+def test_every_suppression_names_a_registered_rule(root):
+    """A ``disable=`` id that names no rule silences nothing, so a typo
+    (or a rule deleted from the registry) leaves a dead comment behind."""
+    known = {rule.rule_id for rule in all_rules()} | {"all"}
+    directory = SRC_ROOT.parents[1] / root
+    assert directory.is_dir()
+    unknown = []
+    for path in sorted(directory.rglob("*.py")):
+        ctx = FileContext.from_source(path.read_text(encoding="utf-8"), path=str(path))
+        ids = set(ctx.file_suppressions)
+        for on_line in ctx.line_suppressions.values():
+            ids |= on_line
+        unknown.extend(f"{path}: {rule_id!r}" for rule_id in sorted(ids - known))
+    assert unknown == []
 
 
 # ----------------------------------------------------------------------
@@ -370,10 +237,13 @@ def test_full_repro_tree_is_lint_clean():
     assert files_checked >= 40  # every module of the package was visited
 
 
-def test_parallel_jobs_match_serial_run():
-    serial = LintEngine(jobs=1).lint_paths([SRC_ROOT])
-    parallel = LintEngine(jobs=2).lint_paths([SRC_ROOT])
-    assert serial == parallel
+def test_r002_ignores_private_helpers():
+    """The private-helper exemption of the retired R002 lives on in R101."""
+    rules = [get_rule("R101")]
+    private = {"pkg/algo.py": "def _helper(window):\n    return window + 1\n"}
+    assert lint_project_sources(private, rules=rules) == []
+    public = {"pkg/algo.py": "def helper(window):\n    return window + 1\n"}
+    assert ids_of(lint_project_sources(public, rules=rules)) == ["R101"]
 
 
 def test_r101_catches_a_deleted_core_validation_call(tmp_path):
@@ -400,16 +270,11 @@ def test_r101_catches_a_deleted_core_validation_call(tmp_path):
 def test_rule_registry_is_complete():
     assert [rule.rule_id for rule in all_rules()] == [
         "R001",
-        "R002",
-        "R003",
         "R004",
         "R006",
-        "R007",
         "R101",
-        "R102",
         "R103",
         "R104",
-        "R105",
         "R106",
         "R201",
         "R202",
@@ -419,35 +284,30 @@ def test_rule_registry_is_complete():
         "R301",
         "R302",
         "R303",
-        "R304",
-        "R305",
     ]
     assert isinstance(get_rule("R001"), NoWallClockOrUnseededRandom)
-    assert isinstance(get_rule("R002"), ValidateAlgorithmParameters)
-    assert isinstance(get_rule("R003"), NoMutationAfterSort)
     assert isinstance(get_rule("R004"), PublicApiFullyAnnotated)
     assert isinstance(get_rule("R006"), NoDirectTimingCalls)
-    assert isinstance(get_rule("R007"), NoMutableDefaultArguments)
     with pytest.raises(KeyError, match="unknown rule"):
         get_rule("R999")
-    assert [rule.rule_id for rule in select_rules(["R003", "R001"])] == ["R001", "R003"]
+    assert [rule.rule_id for rule in select_rules(["R006", "R001"])] == ["R001", "R006"]
 
 
 def test_cli_reports_violations_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.py"
-    bad.write_text(R003_POSITIVE, encoding="utf-8")
+    bad.write_text(R001_POSITIVE, encoding="utf-8")
 
-    assert main([str(bad), "--select", "R003"]) == 1
+    assert main([str(bad), "--select", "R001"]) == 1
     out = capsys.readouterr().out
-    assert "R003" in out and "bad.py" in out and "2 violations" in out
+    assert "R001" in out and "bad.py" in out and "4 violations" in out
 
-    assert main([str(bad), "--select", "R001"]) == 0
+    assert main([str(bad), "--select", "R103"]) == 0
     assert "0 violations" in capsys.readouterr().out
 
-    assert main([str(bad), "--select", "R003", "--format", "json"]) == 1
+    assert main([str(bad), "--select", "R001", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] == 2
-    assert payload["violations"][0]["rule"] == "R003"
+    assert payload["count"] == 4
+    assert payload["violations"][0]["rule"] == "R001"
 
     assert main([str(tmp_path / "missing.py")]) == 2
     assert main(["--select", "R999", str(bad)]) == 2

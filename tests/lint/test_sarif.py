@@ -192,4 +192,4 @@ def test_per_rule_help_uris_anchor_into_the_catalogue_doc():
     # The new families carry per-rule anchors like everything else.
     assert by_id["R205"]["helpUri"].endswith(f"#r205--{registry['R205'].name}")
     assert by_id["R301"]["helpUri"].endswith("#r301--hot-loop-allocation")
-    assert by_id["R305"]["helpUri"].endswith("#r305--hot-linear-membership")
+    assert by_id["R303"]["helpUri"].endswith("#r303--hot-loop-repeated-lookup")
