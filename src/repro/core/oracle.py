@@ -8,9 +8,10 @@ Two interchangeable implementations are provided behind a common interface:
 
 * :class:`ExactInfluenceOracle` — backed by concrete Python sets, exact
   answers, O(Σ|σ(u)|) per query;
-* :class:`ApproxInfluenceOracle` — backed by flattened HyperLogLog register
-  arrays, ≈ 1.04/√β relative error, O(|S|·β) per query *independent of the
-  network size* (the property paper Figure 4 demonstrates).
+* :class:`ApproxInfluenceOracle` — backed by one packed n×β byte matrix of
+  effective HyperLogLog registers (one row per node, n·β bytes in all),
+  ≈ 1.04/√β relative error, O(|S|·β) per query *independent of the network
+  size* (the property paper Figure 4 demonstrates).
 
 Both expose an *accumulator* API (``new_accumulator`` / ``accumulate`` /
 ``value``) so the greedy maximization in :mod:`repro.core.maximization` can
@@ -21,13 +22,14 @@ scratch at every marginal-gain evaluation.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Hashable, Iterable, List, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 import repro.obs as obs
 from repro.core.approx import ApproxIRS
 from repro.core.exact import ExactIRS
 from repro.obs import OBS_STATE as _OBS
 from repro.sketch.hll import estimate_from_registers
+from repro.sketch.vhll import VersionedHLL
 from repro.utils.validation import require_int, require_type
 
 __all__ = [
@@ -190,57 +192,130 @@ class ExactInfluenceOracle(InfluenceOracle):
 
 
 class ApproxInfluenceOracle(InfluenceOracle):
-    """Sketch-backed oracle over flattened HLL register arrays.
+    """Sketch-backed oracle over one packed n×β register matrix.
 
-    Per node only the β effective registers are kept (the version lists are
-    not needed once the reverse pass is finished), so a query unions seed
-    registers cell-wise and runs one HLL estimation — a few microseconds,
-    independent of how large the reachability sets actually are.
+    Per node only the β effective HLL registers are kept (the version lists
+    are not needed once the reverse pass is finished), one byte each, in a
+    single immutable ``bytes`` matrix: row ``i`` holds the registers of the
+    ``i``-th node of :meth:`nodes`, and a ``node → row`` dict indexes it.
+    That is n·β bytes plus the label index, and it is byte for byte the
+    payload of an ``approx`` snapshot, which loads straight into it.  A
+    query unions seed rows cell-wise and runs one HLL estimation — a few
+    microseconds, independent of how large the reachability sets are.
     """
 
     def __init__(self, registers: Dict[Node, List[int]], num_cells: int) -> None:
         require_type(registers, "registers", dict)
-        if num_cells <= 0 or num_cells & (num_cells - 1) != 0:
-            raise ValueError(f"num_cells must be a power of two, got {num_cells}")
-        for node, array in registers.items():
+        _check_num_cells(num_cells)
+        matrix = bytearray(len(registers) * num_cells)
+        for row, (node, array) in enumerate(registers.items()):
             if len(array) != num_cells:
                 raise ValueError(
                     f"register array of node {node!r} has length {len(array)}, "
                     f"expected {num_cells}"
                 )
-        self._registers = {node: list(array) for node, array in registers.items()}  # repro-lint: disable=R301 (one-time defensive copy at construction, not a query-path allocation)
+            start = row * num_cells
+            try:
+                matrix[start : start + num_cells] = array
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"register array of node {node!r} does not fit one byte per "
+                    f"register: {exc}"
+                ) from None
+        self._adopt(registers.keys(), bytes(matrix), num_cells)
+
+    def _adopt(self, nodes: Iterable[Node], matrix: bytes, num_cells: int) -> None:
+        rows = {node: row for row, node in enumerate(nodes)}
+        if len(rows) * num_cells != len(matrix):
+            raise ValueError(
+                f"register matrix holds {len(matrix)} bytes, expected "
+                f"{len(rows)} distinct nodes × {num_cells} registers"
+            )
+        self._rows: Dict[Node, int] = rows
+        self._matrix = matrix
         self._m = num_cells
         self._obs_spread = _QUERY_SECONDS.labels(kind="sketch", op="spread")
         self._obs_gain = _QUERY_SECONDS.labels(kind="sketch", op="gain")
 
     @classmethod
+    def from_matrix(
+        cls, nodes: Iterable[Node], matrix: bytes, num_cells: int
+    ) -> "ApproxInfluenceOracle":
+        """Adopt an already packed matrix: row ``i`` holds the ``i``-th node's registers.
+
+        ``matrix`` is kept as is (``bytes`` are immutable, so nothing is
+        copied); ``nodes`` must be distinct and ``len(matrix)`` must equal
+        ``len(nodes) · num_cells``.
+        """
+        require_type(matrix, "matrix", bytes)
+        _check_num_cells(num_cells)
+        oracle = cls.__new__(cls)
+        oracle._adopt(nodes, matrix, num_cells)
+        return oracle
+
+    @classmethod
+    def from_sketches(
+        cls,
+        sketches: Dict[Node, Optional[VersionedHLL]],
+        num_cells: int,
+        max_time: Optional[int] = None,
+    ) -> "ApproxInfluenceOracle":
+        """Pack each sketch's effective registers at ``max_time`` into one row.
+
+        A ``None`` sketch gives an all-zero row.  Registers are written
+        straight into a preallocated matrix; no per-node list is built.
+        """
+        require_type(sketches, "sketches", dict)
+        _check_num_cells(num_cells)
+        matrix = bytearray(len(sketches) * num_cells)
+        with memoryview(matrix) as view:
+            for row, sketch in enumerate(sketches.values()):  # repro-lint: budget=O(n·β)
+                if sketch is not None:
+                    start = row * num_cells
+                    sketch.max_registers_into(view[start : start + num_cells], max_time)
+        return cls.from_matrix(sketches.keys(), bytes(matrix), num_cells)
+
+    @classmethod
     def from_index(cls, index: ApproxIRS) -> "ApproxInfluenceOracle":
         """Build from a fully-constructed :class:`ApproxIRS`."""
         require_type(index, "index", ApproxIRS)
-        registers = {node: index.registers(node) for node in index.nodes}
-        return cls(registers, index.num_cells)
+        return cls.from_sketches(
+            {node: index.sketch(node) for node in index.nodes}, index.num_cells
+        )
 
     @property
     def num_cells(self) -> int:
         """β — registers per node."""
         return self._m
 
+    @property
+    def matrix(self) -> bytes:
+        """The packed registers: row ``i`` belongs to the ``i``-th node of :meth:`nodes`."""
+        return self._matrix
+
     def nodes(self) -> Iterable[Node]:
-        return self._registers.keys()
+        return self._rows.keys()
+
+    def _row(self, node: Node) -> Optional[bytes]:
+        row = self._rows.get(node)
+        if row is None:
+            return None
+        start = row * self._m
+        return self._matrix[start : start + self._m]
 
     def registers(self, node: Node) -> List[int]:
-        """A copy of ``node``'s effective register array (empty if unknown).
+        """A copy of ``node``'s row of effective registers (zeros if unknown).
 
-        This is the serialisation surface: a snapshot stores exactly these
-        arrays, so a reloaded oracle is bit-identical to the original.
+        A snapshot stores exactly these rows, so a reloaded oracle compares
+        bit-identical to the original through this accessor.
         """
-        array = self._registers.get(node)
+        array = self._row(node)
         if array is None:
             return [0] * self._m
         return list(array)
 
     def influence(self, node: Node) -> float:
-        array = self._registers.get(node)
+        array = self._row(node)
         if array is None:
             return 0.0
         return estimate_from_registers(array, self._m)
@@ -264,7 +339,7 @@ class ApproxInfluenceOracle(InfluenceOracle):
 
     def accumulate(self, state: object, node: Node) -> None:
         assert isinstance(state, list)
-        array = self._registers.get(node)
+        array = self._row(node)
         if array is None:
             return
         for i, value in enumerate(array):
@@ -278,7 +353,7 @@ class ApproxInfluenceOracle(InfluenceOracle):
     def gain(self, state: object, node: Node) -> float:
         assert isinstance(state, list)
         with self._obs_gain.time():
-            array = self._registers.get(node)
+            array = self._row(node)
             if array is None:
                 return 0.0
             merged = [max(a, b) for a, b in zip(state, array)]
@@ -289,3 +364,9 @@ class ApproxInfluenceOracle(InfluenceOracle):
     def copy_accumulator(self, state: object) -> List[int]:
         assert isinstance(state, list)
         return list(state)
+
+
+def _check_num_cells(num_cells: int) -> None:
+    require_int(num_cells, "num_cells")
+    if num_cells <= 0 or num_cells & (num_cells - 1) != 0:
+        raise ValueError(f"num_cells must be a power of two, got {num_cells}")

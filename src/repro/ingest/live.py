@@ -450,15 +450,10 @@ class LiveIndex:
                 for influencer, reached in self._channels_locked(horizon):
                     sets[influencer].add(reached)
                 return ExactInfluenceOracle(sets)
-            max_time = _max_stamp(horizon)
-            registers: Dict[Node, List[int]] = {}
-            for node in self._nodes:
-                sketch = self._sketches.get(node)
-                if sketch is None:
-                    registers[node] = [0] * self._num_cells
-                else:
-                    registers[node] = sketch.effective_registers(max_time)
-            return ApproxInfluenceOracle(registers, self._num_cells)
+            sketches = {node: self._sketches.get(node) for node in self._nodes}
+            return ApproxInfluenceOracle.from_sketches(
+                sketches, self._num_cells, _max_stamp(horizon)
+            )
 
     def spread(self, seeds: Iterable[Node]) -> float:
         """``Inf(seeds)`` of the live state (exact mode: exact union)."""

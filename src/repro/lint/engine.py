@@ -22,6 +22,12 @@ Suppression syntax
 
 * on a line of its own → suppresses the listed rules for the whole file;
 * trailing a statement → suppresses the listed rules on that line only.
+
+A reason goes in parentheses after the ids.  An id that names no
+registered rule (a typo, a retired rule, or a reason written without
+parentheses, which reads as part of the id) would silence nothing, so
+the engine reports it as an ``R000`` violation, which no comment can
+suppress.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from repro.lint import concurrency  # noqa: F401 — registers R201–R205
 from repro.lint import rules_project  # noqa: F401 — registers R101/R103/R104/R106
 from repro.lint.hotpath import collect_benchmark_roots  # registers R301–R303
 from repro.lint.project import ProjectIndex, collect_reference_identifiers
-from repro.lint.rules import Rule, all_rules
+from repro.lint.rules import REGISTRY, Rule, all_rules
 
 __all__ = [
     "Violation",
@@ -68,6 +74,9 @@ KNOWN_SUBPACKAGES = frozenset(
 REFERENCE_ROOT_NAMES = ("tests", "benchmarks", "examples")
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,\s]+)")
+
+#: Rule id of the engine's own finding: a suppression id naming no rule.
+UNKNOWN_SUPPRESSION_ID = "R000"
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,8 @@ class FileContext:
     subpackage: Optional[str] = None
     file_suppressions: set = field(default_factory=set)
     line_suppressions: dict = field(default_factory=dict)
+    #: ``(line, col, id)`` of every suppression id that names no rule.
+    unknown_suppressions: list = field(default_factory=list)
 
     @classmethod
     def from_source(
@@ -125,6 +136,11 @@ class FileContext:
             if not match:
                 continue
             ids = {part.strip() for part in match.group(1).split(",") if part.strip()}
+            self.unknown_suppressions.extend(
+                (lineno, match.start(), rule_id)
+                for rule_id in sorted(ids)
+                if rule_id != "all" and rule_id not in REGISTRY
+            )
             if line.lstrip().startswith("#"):
                 self.file_suppressions |= ids
             else:
@@ -191,17 +207,27 @@ class LintEngine:
         return tuple(rule for rule in self._rules if rule.project_scope)
 
     def lint_context(self, ctx: FileContext) -> list:
-        """All unsuppressed file-rule violations for one parsed file."""
+        """All unsuppressed file-rule violations for one parsed file, plus
+        one ``R000`` violation per suppression id that names no rule."""
         violations: list = []
         for rule in self.file_rules:
             if ctx.subpackage is not None and rule.scopes is not None:
                 if ctx.subpackage not in rule.scopes:
                     continue
             violations.extend(rule.check(ctx))
-        return sorted(
-            (v for v in violations if not ctx.is_suppressed(v)),
-            key=lambda v: (v.line, v.col, v.rule_id),
+        kept = [v for v in violations if not ctx.is_suppressed(v)]
+        kept.extend(
+            Violation(
+                ctx.path,
+                line,
+                col,
+                UNKNOWN_SUPPRESSION_ID,
+                f"suppression id {rule_id!r} names no registered rule and silences "
+                "nothing (separate ids with commas; put a reason in parentheses)",
+            )
+            for line, col, rule_id in ctx.unknown_suppressions
         )
+        return sorted(kept, key=lambda v: (v.line, v.col, v.rule_id))
 
     @staticmethod
     def _parse_file(path: Path) -> FileContext:
@@ -230,15 +256,22 @@ class LintEngine:
             violations.extend(self.lint_context(ctx))
 
         if self.project_rules and contexts:
-            violations.extend(self._run_project_rules(contexts, targets))
+            reference_roots = self._resolve_reference_roots(targets)
+            violations.extend(
+                self._run_project_rules(
+                    contexts, collect_reference_identifiers(reference_roots), reference_roots
+                )
+            )
         return violations, len(targets)
 
     def _run_project_rules(
-        self, contexts: Mapping[str, FileContext], targets: Sequence[Path]
+        self,
+        contexts: Mapping[str, FileContext],
+        external: Iterable[str],
+        reference_roots: Sequence[Path] = (),
     ) -> list:
-        reference_roots = self._resolve_reference_roots(targets)
-        external = collect_reference_identifiers(reference_roots)
-        index = ProjectIndex.from_contexts(contexts.values(), external)
+        """Project-rule violations over ``contexts``, minus suppressed ones."""
+        index = ProjectIndex.from_contexts(contexts.values(), set(external))
         index.benchmark_roots |= collect_benchmark_roots(index, reference_roots)
         violations: list = []
         for rule in self.project_rules:
@@ -303,13 +336,7 @@ def lint_project_sources(
         )
         contexts[path] = ctx
         violations.extend(engine.lint_context(ctx))
-    index = ProjectIndex.from_contexts(contexts.values(), set(external_identifiers))
-    for rule in engine.project_rules:
-        for violation in rule.check_project(index):
-            ctx = contexts.get(violation.path)
-            if ctx is not None and ctx.is_suppressed(violation):
-                continue
-            violations.append(violation)
+    violations.extend(engine._run_project_rules(contexts, external_identifiers))
     return sorted(violations, key=lambda v: (v.path, v.line, v.col, v.rule_id))
 
 

@@ -7,8 +7,8 @@ the repo builds those summaries; this package deploys them:
 
 * :mod:`repro.serve.snapshot` — a versioned binary snapshot format
   (``repro-snap/1``) that persists :class:`~repro.core.oracle.ExactInfluenceOracle`
-  reachability sets, :class:`~repro.core.oracle.ApproxInfluenceOracle`
-  register arrays, and whole :class:`~repro.sketch.vhll.VersionedHLL`
+  reachability sets, the :class:`~repro.core.oracle.ApproxInfluenceOracle`
+  packed register matrix, and whole :class:`~repro.sketch.vhll.VersionedHLL`
   sketch maps, with per-section CRCs and lazy section reads;
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.OracleService`,
   a thread-safe query front over any oracle: LRU spread cache, batched

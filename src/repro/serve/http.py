@@ -102,6 +102,11 @@ DEFAULT_MAX_REQUEST_BYTES = 1 << 20
 #: Metric label for paths that matched no route (bounds cardinality).
 UNMATCHED_ROUTE = "unmatched"
 
+#: How often the accept loop checks for ``shutdown()``.  The stdlib default
+#: of 0.5 s is how long every ``shutdown()`` (a drain, a test teardown)
+#: waits; an idle wake-up every 50 ms costs nothing measurable.
+_SHUTDOWN_POLL_S = 0.05
+
 _HTTP_REQUESTS = obs.counter(
     "serve.http_requests", "HTTP requests by matched route and response code."
 )
@@ -516,7 +521,7 @@ def serve_until_shutdown(
     log is flushed and closed once the last handler thread has finished.
     """
     try:
-        server.serve_forever()
+        server.serve_forever(poll_interval=_SHUTDOWN_POLL_S)
     finally:
         server.server_close()
         server.access_log.close()

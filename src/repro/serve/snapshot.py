@@ -12,7 +12,8 @@ for the three payload kinds the repo produces:
     table plus each node's reachability set as sorted label indices.
 ``approx``
     :class:`~repro.core.oracle.ApproxInfluenceOracle` — each node's β
-    effective HLL registers, packed one byte per register.
+    effective HLL registers, packed one byte per register; the
+    ``registers/*`` sections concatenate to the oracle's n×β matrix.
 ``vhll``
     A ``node → VersionedHLL`` sketch map (the full versioned cell lists
     via :meth:`~repro.sketch.vhll.VersionedHLL.to_dict` /
@@ -52,7 +53,7 @@ import json
 import os
 import struct
 import zlib
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import repro.obs as obs
 from repro.core.oracle import (
@@ -222,18 +223,11 @@ def _approx_sections(
                 f"labels/{start // chunk}",
                 _dumps([_check_label(key) for key in keys[start : start + chunk]]),
             )
-        for start in range(0, len(keys), chunk):  # repro-lint: budget=O(n·β)
-            block = bytearray()
-            for key in keys[start : start + chunk]:
-                registers = oracle.registers(key)
-                for value in registers:
-                    if not 0 <= value < 256:
-                        raise ValueError(
-                            f"register value {value} of node {key!r} does not fit "
-                            "one byte"
-                        )
-                block.extend(registers)
-            yield (f"registers/{start // chunk}", bytes(block))
+        matrix = oracle.matrix
+        row_bytes = chunk * num_cells
+        for start in range(0, len(keys), chunk):
+            offset = start * num_cells
+            yield (f"registers/{start // chunk}", matrix[offset : offset + row_bytes])
 
     return meta, names, emit()
 
@@ -493,6 +487,14 @@ def _load_labels(reader: SnapshotReader, expected: int) -> List[object]:
         raise ValueError(
             f"{reader.path}: expected {expected} labels, found {len(labels)}"
         )
+    seen: Set[object] = set()
+    for label in labels:
+        try:
+            if label in seen:
+                raise ValueError(f"{reader.path}: label {label!r} appears more than once")
+        except TypeError as exc:
+            raise ValueError(f"{reader.path}: unhashable label {label!r}") from exc
+        seen.add(label)
     return labels
 
 
@@ -529,9 +531,10 @@ def _load_approx(reader: SnapshotReader) -> ApproxInfluenceOracle:
     if num_cells <= 0:
         raise ValueError(f"{reader.path}: snapshot meta field 'num_cells' must be > 0")
     labels = _load_labels(reader, node_count)
-    registers: Dict[Node, List[int]] = {}
-    cursor = 0
-    for name in reader.section_names:  # repro-lint: budget=O(n·β)
+    expected = node_count * num_cells
+    blocks: List[bytes] = []
+    loaded = 0
+    for name in reader.section_names:
         if not name.startswith("registers/"):
             continue
         block = reader.read_section(name)
@@ -540,16 +543,21 @@ def _load_approx(reader: SnapshotReader) -> ApproxInfluenceOracle:
                 f"{reader.path}: section {name!r} holds {len(block)} bytes, "
                 f"not a multiple of num_cells={num_cells}"
             )
-        for start in range(0, len(block), num_cells):
-            if cursor >= node_count:
-                raise ValueError(f"{reader.path}: more register arrays than nodes")
-            registers[labels[cursor]] = list(block[start : start + num_cells])
-            cursor += 1
-    if cursor != node_count:
+        loaded += len(block)
+        if loaded > expected:
+            raise ValueError(f"{reader.path}: more register arrays than nodes")
+        blocks.append(block)
+    if loaded != expected:
         raise ValueError(
-            f"{reader.path}: expected {node_count} register arrays, found {cursor}"
+            f"{reader.path}: expected {node_count} register arrays, "
+            f"found {loaded // num_cells}"
         )
-    return ApproxInfluenceOracle(registers, num_cells)
+    matrix = b"".join(blocks)
+    del blocks  # the chunks are garbage once joined; free them before indexing
+    try:
+        return ApproxInfluenceOracle.from_matrix(labels, matrix, num_cells)
+    except ValueError as exc:
+        raise ValueError(f"{reader.path}: {exc}") from exc
 
 
 def load_oracle(path: str) -> Union[ExactInfluenceOracle, ApproxInfluenceOracle]:

@@ -26,7 +26,7 @@ reduces to the standard HLL formula over those effective registers
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional, Union
 
 import repro.obs as obs
 from repro.lint.alloctrace import hotpath
@@ -268,7 +268,7 @@ class VersionedHLL:
 
     @hotpath
     def max_registers_into(
-        self, registers: list[int], max_time: Optional[int] = None
+        self, registers: Union[list[int], memoryview], max_time: Optional[int] = None
     ) -> None:
         """Cell-wise ``registers[i] = max(registers[i], effective ρ of cell i)``.
 
@@ -278,7 +278,8 @@ class VersionedHLL:
         ``t`` carries it, so each cell is answered with one bisection.
         Folding into a caller-owned accumulator lets a union query combine
         many sketches without a register list per sketch.  ``registers``
-        must have length ``num_cells``.
+        (a list, or a writable byte view such as one row of a packed
+        register matrix) must have length ``num_cells``.
         """
         if len(registers) != self._m:
             raise ValueError(

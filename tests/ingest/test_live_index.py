@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -215,6 +217,24 @@ class TestDecay:
                 expected[influencer] = expected.get(influencer, 0) + 1
         for node in small_log.nodes:
             assert live.influence(node) == float(expected.get(node, 0)), node
+
+
+class TestBuildOracleMemory:
+    def test_sketch_build_oracle_peak_is_at_most_three_bytes_per_register(self):
+        """Registers are written straight into the packed n×β matrix; a
+        per-node register list would cost 8 bytes per register alone."""
+        nodes, cells = 2000, 512
+        live = LiveIndex(window=5, mode="sketch", precision=9)
+        live.apply_events([(i % nodes, (7 * i + 1) % nodes, i // 4) for i in range(3 * nodes)])
+        tracemalloc.start()
+        try:
+            oracle = live.build_oracle()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(oracle, ApproxInfluenceOracle)
+        assert len(oracle.matrix) == nodes * cells
+        assert peak <= 3 * nodes * cells, f"peak {peak} B"
 
 
 class TestValidationAndBookkeeping:

@@ -213,17 +213,48 @@ def test_disable_all_suppresses_every_rule():
 def test_every_suppression_names_a_registered_rule(root):
     """A ``disable=`` id that names no rule silences nothing, so a typo
     (or a rule deleted from the registry) leaves a dead comment behind."""
-    known = {rule.rule_id for rule in all_rules()} | {"all"}
     directory = SRC_ROOT.parents[1] / root
     assert directory.is_dir()
     unknown = []
     for path in sorted(directory.rglob("*.py")):
         ctx = FileContext.from_source(path.read_text(encoding="utf-8"), path=str(path))
-        ids = set(ctx.file_suppressions)
-        for on_line in ctx.line_suppressions.values():
-            ids |= on_line
-        unknown.extend(f"{path}: {rule_id!r}" for rule_id in sorted(ids - known))
+        unknown.extend(
+            f"{path}:{line}: {rule_id!r}" for line, _, rule_id in ctx.unknown_suppressions
+        )
     assert unknown == []
+
+
+def test_unparenthesised_reason_is_reported_as_unknown_id():
+    """``disable=R006 deliberate copy`` reads as the single id
+    ``'R006 deliberate copy'``: it silences nothing, and the engine says so."""
+    marked = "    start = time.perf_counter()  # repro-lint: disable=R006 deliberate copy"
+    source = R006_POSITIVE.replace("    start = time.perf_counter()", marked)
+    line = source.splitlines().index(marked) + 1
+    violations = lint_with("R006", source)
+    unknown = [v for v in violations if v.rule_id == "R000"]
+    assert [(v.line, v.col) for v in unknown] == [(line, marked.index("#"))]
+    assert "'R006 deliberate copy'" in unknown[0].message
+    assert line in {v.line for v in violations if v.rule_id == "R006"}
+
+
+def test_unknown_suppression_ids_are_reported_and_cannot_be_silenced():
+    source = "# repro-lint: disable=all, R999\nx = 1  # repro-lint: disable=R006,nope\n"
+    violations = lint_source(source, rules=[get_rule("R006")])
+    assert [(v.line, v.rule_id) for v in violations] == [(1, "R000"), (2, "R000")]
+    assert "'R999'" in violations[0].message and "'nope'" in violations[1].message
+
+
+def test_parenthesised_reason_is_not_part_of_the_id():
+    marked = "    start = time.perf_counter()  # repro-lint: disable=R006 (deliberate)"
+    source = R006_POSITIVE.replace("    start = time.perf_counter()", marked)
+    assert "R000" not in ids_of(lint_with("R006", source))
+
+
+def test_cli_fails_on_an_unknown_suppression_id(tmp_path, capsys):
+    bad = tmp_path / "typo.py"
+    bad.write_text("x = 1  # repro-lint: disable=R0O1\n", encoding="utf-8")
+    assert main([str(bad), "--select", "R001"]) == 1
+    assert "R000" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import random
 import struct
+import subprocess
+import sys
+import tracemalloc
 import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 import repro.serve as serve
 from repro.core.approx import ApproxIRS
 from repro.core.exact import ExactIRS
@@ -238,6 +244,114 @@ class TestCorruption:
         message = str(excinfo.value)
         assert path in message
         assert "\n" not in message
+
+
+def _write_raw_snapshot(path, kind, meta, sections):
+    """Frame ``sections`` (name → payload bytes) by hand, bypassing the writer."""
+    header = json.dumps({"kind": kind, "meta": meta, "sections": list(sections)}).encode()
+    with open(path, "wb") as handle:
+        handle.write(SNAPSHOT_MAGIC)
+        for name, payload in [("header", header), *sections.items()]:
+            encoded = name.encode("ascii")
+            handle.write(struct.pack(">H", len(encoded)) + encoded)
+            handle.write(struct.pack(">QI", len(payload), zlib.crc32(payload)))
+            handle.write(payload)
+
+
+class TestDuplicateLabels:
+    """A label repeated across label sections would let a later row silently
+    overwrite an earlier one, so ``nodes()`` would disagree with the meta."""
+
+    def test_approx_snapshot_with_repeated_label_is_rejected(self, tmp_path):
+        path = str(tmp_path / "dup-approx.snap")
+        _write_raw_snapshot(
+            path,
+            "approx",
+            {"node_count": 3, "num_cells": 4, "chunk": 2},
+            {
+                "labels/0": b'["a","b"]',
+                "labels/1": b'["a"]',
+                "registers/0": bytes(range(8)),
+                "registers/1": bytes(4),
+            },
+        )
+        with pytest.raises(ValueError) as excinfo:
+            load_oracle(path)
+        message = str(excinfo.value)
+        assert path in message and "'a' appears more than once" in message
+        assert "\n" not in message
+
+    def test_exact_snapshot_with_repeated_label_is_rejected(self, tmp_path):
+        path = str(tmp_path / "dup-exact.snap")
+        _write_raw_snapshot(
+            path,
+            "exact",
+            {"node_count": 2, "label_count": 2, "chunk": 4},
+            {"labels/0": b"[7,7]", "sets/0": b"[[1],[]]"},
+        )
+        with pytest.raises(ValueError, match=r"dup-exact\.snap: label 7 appears more than once"):
+            load_oracle(path)
+
+    def test_unhashable_label_is_rejected(self, tmp_path):
+        path = str(tmp_path / "list-label.snap")
+        _write_raw_snapshot(
+            path,
+            "approx",
+            {"node_count": 1, "num_cells": 4, "chunk": 4},
+            {"labels/0": b"[[1]]", "registers/0": bytes(4)},
+        )
+        with pytest.raises(ValueError, match="unhashable label"):
+            load_oracle(path)
+
+    def test_approx_loader_rejects_non_power_of_two_cells_naming_the_file(self, tmp_path):
+        path = str(tmp_path / "cells.snap")
+        _write_raw_snapshot(
+            path,
+            "approx",
+            {"node_count": 1, "num_cells": 3, "chunk": 4},
+            {"labels/0": b'["a"]', "registers/0": bytes(3)},
+        )
+        with pytest.raises(ValueError, match=r"cells\.snap: num_cells must be a power of two"):
+            load_oracle(path)
+
+
+class TestMemory:
+    NODES, CELLS = 2000, 512
+
+    def test_load_oracle_peak_is_at_most_three_bytes_per_register(self, tmp_path):
+        """The registers load into one packed matrix, not per-node lists
+        (a list costs 8 bytes per register before the int objects)."""
+        rng = random.Random(15)
+        registers = {
+            f"node-{i}": [rng.randrange(0, 24) for _ in range(self.CELLS)]
+            for i in range(self.NODES)
+        }
+        path = str(tmp_path / "big.snap")
+        save_oracle(path, ApproxInfluenceOracle(registers, self.CELLS))
+        del registers
+        tracemalloc.start()
+        try:
+            loaded = load_oracle(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(list(loaded.nodes())) == self.NODES
+        assert peak <= 3 * self.NODES * self.CELLS, f"peak {peak} B"
+
+
+def test_importing_the_http_server_does_not_import_numpy():
+    """The packed oracle is stdlib only: numpy would cost every server
+    process its import time and resident size."""
+    code = "import sys, repro.serve.http; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestReaderAndInfo:
